@@ -20,7 +20,6 @@ from .conditions import (
 from .cycles import (
     RotationContext,
     cycle_through_heavy,
-    heavy_threshold,
     rotation_to_cycle,
     verify_heavy_cycle,
 )

@@ -22,15 +22,10 @@ from typing import Sequence
 
 from .errors import InternalInconsistencyError, NotTwoConnectedError, WalkError
 from .graph import Graph
-from .holes import bipartite_hole_number, hole_number
+from .holes import bipartite_hole_number
 from .walks import Cycle, OrientedPath, is_cycle_sequence
 
 logger = logging.getLogger(__name__)
-
-
-def heavy_threshold(g: Graph) -> int:
-    """Degree bound above which a vertex must land on the cycle."""
-    return hole_number(g)
 
 
 @dataclass

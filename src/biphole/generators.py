@@ -121,10 +121,13 @@ def erdos_renyi(n: int, p_numerator: int, p_denominator: int, seed: int) -> Grap
     return Graph(n, edges)
 
 
-def enumerate_labeled(n: int, allow_large: bool = False) -> Iterator[Graph]:
+def enumerate_labeled(
+    n: int, allow_large: bool = False, masks: range | None = None
+) -> Iterator[Graph]:
     """Every labeled simple graph on n vertices, in edge-mask order.
 
-    Bit i of the mask is the i-th pair in lexicographic order.  Gated at
+    Bit i of the mask is the i-th pair in lexicographic order; ``masks``
+    restricts the stream to a range of edge masks.  Gated at
     n <= 6 by default (n = 7, 8 need allow_large; beyond that the stream is
     astronomically long).
     """
@@ -135,7 +138,7 @@ def enumerate_labeled(n: int, allow_large: bool = False) -> Iterator[Graph]:
             + ("" if allow_large else " (pass allow_large=True for 7..8)")
         )
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for mask in range(1 << len(pairs)):
+    for mask in range(1 << len(pairs)) if masks is None else masks:
         adj = [0] * n
         m = mask
         while m:

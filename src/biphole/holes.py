@@ -139,7 +139,9 @@ def bipartite_hole_number(g: Graph) -> HoleCertificate:
 
 
 def validate_certificate(g: Graph, cert: HoleCertificate) -> bool:
-    """Independent check of a certificate (exhaustive on the hole-free pair)."""
+    """Independent check of a certificate: each level witness is validated
+    as a hole, and the hole-free pair by one enumeration of the s-sets
+    (no (s,t)-hole iff every s-set S has |N[S]| > n - t)."""
     k = cert.value
     s, t = cert.hole_free_pair
     if k < 1 or s < 1 or t < 1 or s + t != k + 1:
@@ -149,7 +151,7 @@ def validate_certificate(g: Graph, cert: HoleCertificate) -> bool:
     for i, w in enumerate(cert.level_witnesses):
         if w.sizes != (i + 1, k - i - 1) or not w.is_valid(g):
             return False
-    return naive_hole_oracle(g, s, t, max_n=g.n) is None
+    return s > g.n or min_closed_neighborhood(g, s)[0] > g.n - t
 
 
 def _guard(g: Graph, max_n: int | None) -> None:

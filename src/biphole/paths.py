@@ -3,20 +3,21 @@ bipartite-hole-number plus one.
 
 Starting from a shortest (u, v)-path, each round absorbs one more heavy
 vertex w lying off the path: connect w to the path by a shortest connector Q,
-pick the first heavy path vertex after the attachment point, and try a fixed
-list of rerouting templates in order.  Hole-freeness of the split (s, t)
-forces one of the scanned crossing edges to exist, and each template's
-formula yields a (u, v)-path that keeps every on-path heavy vertex and gains
-w.  Progress is therefore strict and the loop runs at most |H| times.
+pick the first heavy path vertex after the attachment point, and try the
+three template groups of the case split in order: through the connector
+(a direct jump to the pivot or a shared off-path neighbor), a bridge
+crossing edge, and the anchored mid-path case.  Hole-freeness of the split
+(s, t) forces one of the scanned crossing edges to exist, and each
+template's formula yields a (u, v)-path that keeps every on-path heavy
+vertex and gains w.  Progress is therefore strict and the loop runs at most
+|H| times.
 
 Every candidate is validated (path property, endpoints, strict heavy gain)
-before being accepted; bookkeeping facts the underlying argument asserts are
-checked and logged as diagnostics, never trusted.  A widened exhaustive
-template sweep is the final guard before declaring an inconsistency.
+before being accepted.  A round that no template group closes raises
+InternalInconsistencyError at once, naming the case that failed.
 """
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -29,9 +30,7 @@ from .graph import Graph, iter_bits
 from .holes import bipartite_hole_number
 from .walks import OrientedPath, is_path_sequence
 
-logger = logging.getLogger(__name__)
-
-#: Counts of noteworthy events, for tests and debugging.
+#: ``"fallback"`` counts the rounds that no template group closed.
 DIAGNOSTICS: Counter = Counter()
 
 
@@ -95,10 +94,6 @@ class AugmentContext:
         for x in self.path.vertices:
             on |= 1 << x
         self.off_mask = ((1 << self.path.graph.n) - 1) & ~on
-
-
-def _heavy_positions(path: OrientedPath, heavy_mask: int) -> list[int]:
-    return [i for i, x in enumerate(path.vertices) if heavy_mask >> x & 1]
 
 
 def _shortest_connector(g: Graph, path: OrientedPath, w: int) -> list[int] | None:
@@ -170,7 +165,6 @@ def _try_bridge(g, path, w, connector, p_pos, q_pos, heavy_mask):
     slot: an off-path neighbor of the pivot, or the predecessor of an
     on-path one; four rerouting formulas by position."""
     verts = path.vertices
-    k = len(verts)
     vq = verts[q_pos]
     pos = {x: i for i, x in enumerate(verts)}
     on = set(verts)
@@ -222,7 +216,6 @@ def _try_anchored(g, path, w, r_pos, q2, heavy_mask):
     around the heavy pivot at q2 > r_pos, then absorb directly if w touches
     the stretch between them."""
     verts = path.vertices
-    k = len(verts)
     pos = {x: i for i, x in enumerate(verts)}
     on = set(verts)
     vq = verts[q2]
@@ -301,86 +294,6 @@ def _try_anchored(g, path, w, r_pos, q2, heavy_mask):
     return None
 
 
-def _try_tail_hook(g, path, w, h_pos, heavy_mask):
-    """End case: w is adjacent to the path's last vertex; route back through
-    the last heavy vertex before the end."""
-    verts = path.vertices
-    k = len(verts)
-    pos = {x: i for i, x in enumerate(verts)}
-    on = set(verts)
-    vh = verts[h_pos]
-    last = verts[-1]
-    if not g.has_edge(w, last):
-        return None
-    nrw_closed = [w] + sorted(y for y in g.neighbors(w) if y not in on)
-    nrh = sorted(y for y in g.neighbors(vh) if y not in on)
-    head = list(verts[: h_pos + 1])
-
-    # Common ground between w's closed free neighborhood and vh's free one.
-    for x in nrh:
-        if x == w or g.has_edge(w, x):
-            cand = _accept(g, path, heavy_mask, _chain(head, [x], [w], [last]))
-            if cand is not None:
-                return cand
-    for x in nrw_closed:
-        for y in nrh:
-            if y in (w, x) or not g.has_edge(x, y):
-                continue
-            cand = _accept(g, path, heavy_mask, _chain(head, [y], [x], [w], [last]))
-            if cand is not None:
-                return cand
-
-    nh_pos = [pos[z] for z in g.neighbors(vh) if z in on]
-    a1_succ = sorted(j + 1 for j in nh_pos if j < h_pos)
-    a2_pos = sorted(j for j in nh_pos if h_pos < j <= k - 2)
-    for x in nrw_closed:
-        for jy in a1_succ:
-            if not g.has_edge(x, verts[jy]):
-                continue
-            seq = _chain(
-                verts[:jy], reversed(verts[jy : h_pos + 1]), [x], [w], [last]
-            )
-            cand = _accept(g, path, heavy_mask, seq)
-            if cand is not None:
-                return cand
-        for j in a2_pos:
-            if not g.has_edge(x, verts[j]):
-                continue
-            seq = _chain(verts[: j + 1], [x], [w], [last])
-            cand = _accept(g, path, heavy_mask, seq)
-            if cand is not None:
-                return cand
-    return None
-
-
-def _simple_detours(g, path, missing, heavy_mask):
-    """Last-resort generic moves: replace a run of light interior vertices by
-    a short off-path detour that contains a missing heavy vertex."""
-    verts = path.vertices
-    k = len(verts)
-    on = set(verts)
-    off = sorted(x for x in range(g.n) if x not in on)
-    for w in sorted(missing):
-        for i in range(k - 1):
-            for j in range(i + 1, k):
-                if any(heavy_mask >> verts[m] & 1 for m in range(i + 1, j)):
-                    continue
-                a, b = verts[i], verts[j]
-                detours = [[w]]
-                detours += [[w, x] for x in off if x != w]
-                detours += [[x, w] for x in off if x != w]
-                for d in detours:
-                    if w not in d:
-                        continue
-                    seq = list(verts[: i + 1]) + d + list(verts[j:])
-                    if len(set(seq)) != len(seq):
-                        continue
-                    cand = _accept(g, path, heavy_mask, seq)
-                    if cand is not None:
-                        return cand
-    return None
-
-
 def build_context(g: Graph, path: OrientedPath, heavy_mask: int, s: int, t: int) -> AugmentContext:
     """Pick the nearest missing heavy vertex, its shortest connector, and the
     attachment bookkeeping; reorients the path so the attachment is not the
@@ -416,15 +329,11 @@ def build_context(g: Graph, path: OrientedPath, heavy_mask: int, s: int, t: int)
         if len(connector) >= 3 and g.has_edge(connector[1], verts[q_pos]):
             state = (verts[0], verts[q_pos])
             if state in seen_states:
-                DIAGNOSTICS["reroute_cap"] += 1
-                logger.debug("connector re-anchoring cycled; proceeding as is")
                 break
             seen_states.add(state)
             connector = [verts[q_pos]] + connector[1:]
             continue
         break
-    else:
-        DIAGNOSTICS["reroute_cap"] += 1
 
     return AugmentContext(
         path=path,
@@ -440,13 +349,11 @@ def build_context(g: Graph, path: OrientedPath, heavy_mask: int, s: int, t: int)
 
 def augment_once(g: Graph, ctx: AugmentContext) -> OrientedPath:
     """One absorption round; returns a path with strictly more heavy
-    vertices or raises InternalInconsistencyError."""
+    vertices or raises InternalInconsistencyError naming the failed case."""
     path, w = ctx.path, ctx.w
     heavy_mask = ctx.heavy_mask
     verts = path.vertices
     k = len(verts)
-    pos = {x: i for i, x in enumerate(verts)}
-    on = set(verts)
 
     cand = _try_direct_and_common(
         g, path, w, ctx.connector, ctx.p_pos, ctx.q_pos, heavy_mask
@@ -458,86 +365,22 @@ def augment_once(g: Graph, ctx: AugmentContext) -> OrientedPath:
     if cand is not None:
         return cand
 
-    nrw = sum(1 for x in g.neighbors(w) if x not in on)
-    if nrw > ctx.t - 1:
-        DIAGNOSTICS["free_side_bound"] += 1
-        logger.debug("off-path neighborhood of %d larger than t-1", w)
-
-    wp_pos = sorted(pos[z] for z in g.neighbors(w) if z in on)
-    if len(wp_pos) >= ctx.s + 1:
-        r_pos = wp_pos[ctx.s]
-        if r_pos < k - 1:
-            q2 = next(
-                i for i in range(r_pos + 1, k) if heavy_mask >> verts[i] & 1
-            )
-            cand = _try_anchored(g, path, w, r_pos, q2, heavy_mask)
-        else:
-            if nrw != ctx.t - 1:
-                DIAGNOSTICS["tail_count_mismatch"] += 1
-                logger.debug(
-                    "tail case with |N_R(%d)| = %d, expected t-1 = %d",
-                    w, nrw, ctx.t - 1,
-                )
-            h_pos = max(
-                i for i in range(k - 1) if heavy_mask >> verts[i] & 1
-            )
-            cand = _try_tail_hook(g, path, w, h_pos, heavy_mask)
-        if cand is not None:
-            return cand
+    wp_pos = [i for i, x in enumerate(verts) if g.has_edge(w, x)]
+    if len(wp_pos) < ctx.s + 1:
+        case = f"vertex {w} has under s+1 = {ctx.s + 1} on-path neighbors"
+    elif wp_pos[ctx.s] == k - 1:
+        case = f"the anchor of vertex {w} is the path's last vertex"
     else:
-        DIAGNOSTICS["anchor_short"] += 1
-        logger.debug("vertex %d has under s+1 on-path neighbors", w)
-
-    DIAGNOSTICS["fallback"] += 1
-    cand = _exhaustive_fallback(g, ctx)
-    if cand is not None:
-        return cand
-    raise InternalInconsistencyError(
-        "no augmentation template applies; wrong split or a bug"
-    )
-
-
-def _exhaustive_fallback(g: Graph, ctx: AugmentContext) -> OrientedPath | None:
-    """Widened sweep: both orientations, every missing target, every anchor
-    and pivot choice, then generic light-run detours."""
-    heavy_mask = ctx.heavy_mask
-    for path in (ctx.path, ctx.path.flip()):
-        verts = path.vertices
-        k = len(verts)
-        pos = {x: i for i, x in enumerate(verts)}
-        on = set(verts)
-        missing = [
-            x for x in range(g.n) if heavy_mask >> x & 1 and x not in on
-        ]
-        heavy_pos = _heavy_positions(path, heavy_mask)
-        for w in sorted(missing):
-            connector = _shortest_connector(g, path, w)
-            if connector is not None and pos[connector[0]] < k - 1:
-                p_pos = pos[connector[0]]
-                for q_pos in (i for i in heavy_pos if i > p_pos):
-                    cand = _try_direct_and_common(
-                        g, path, w, connector, p_pos, q_pos, heavy_mask
-                    ) or _try_bridge(
-                        g, path, w, connector, p_pos, q_pos, heavy_mask
-                    )
-                    if cand is not None:
-                        return cand
-            wp_pos = sorted(pos[z] for z in g.neighbors(w) if z in on)
-            for a_pos in wp_pos:
-                if a_pos < k - 1:
-                    for q2 in (i for i in heavy_pos if i > a_pos):
-                        cand = _try_anchored(g, path, w, a_pos, q2, heavy_mask)
-                        if cand is not None:
-                            return cand
-            if g.has_edge(w, verts[-1]):
-                for h_pos in reversed([i for i in heavy_pos if i <= k - 2]):
-                    cand = _try_tail_hook(g, path, w, h_pos, heavy_mask)
-                    if cand is not None:
-                        return cand
-        cand = _simple_detours(g, path, missing, heavy_mask)
+        r_pos = wp_pos[ctx.s]
+        q2 = next(i for i in range(r_pos + 1, k) if heavy_mask >> verts[i] & 1)
+        cand = _try_anchored(g, path, w, r_pos, q2, heavy_mask)
         if cand is not None:
             return cand
-    return None
+        case = f"no anchored template around positions {r_pos} and {q2}"
+    DIAGNOSTICS["fallback"] += 1
+    raise InternalInconsistencyError(
+        f"no absorption template applies ({case}); wrong split or a bug"
+    )
 
 
 def heavy_path(g: Graph, u: int, v: int) -> OrientedPath:

@@ -10,6 +10,7 @@ can be replayed.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 
 from .conditions import check_fan_type, check_liu_yuan_zhang
@@ -209,21 +210,8 @@ def _run_batch(task) -> SweepResult:
         graphs = (parse_graph6(line) for line in payload)
     else:
         n, lo, hi = payload
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-        def gen():
-            for mask in range(lo, hi):
-                adj = [0] * n
-                m = mask
-                while m:
-                    low = m & -m
-                    a, b = pairs[low.bit_length() - 1]
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
-                    m ^= low
-                yield Graph._from_adj(n, adj)
-
-        graphs = gen()
+        # run_enumerated has already applied the caller's order gate.
+        graphs = enumerate_labeled(n, allow_large=True, masks=range(lo, hi))
     for g in graphs:
         result.merge(check_graph(g, properties))
     return result
@@ -278,6 +266,7 @@ def run_graph6_lines(
 
 
 def _run_tasks(tasks, jobs: int) -> SweepResult:
+    jobs = min(jobs, os.cpu_count() or 1)
     ctx = multiprocessing.get_context("fork")
     result = SweepResult()
     with ctx.Pool(processes=jobs) as pool:

@@ -12,8 +12,8 @@ from biphole import (
     complete,
     cycle,
     cycle_through_heavy,
-    heavy_threshold,
     hole_number,
+    parse_graph6,
     path,
     petersen,
     rotation_to_cycle,
@@ -27,9 +27,10 @@ K4_MINUS_EDGE = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
 
 
 def test_heavy_threshold():
-    assert heavy_threshold(complete(4)) == 1
-    assert heavy_threshold(cycle(5)) == 3
-    assert heavy_threshold(path(3)) == 2
+    # The heavy threshold of the cycle theorem is the bipartite-hole-number.
+    assert hole_number(complete(4)) == 1
+    assert hole_number(cycle(5)) == 3
+    assert hole_number(path(3)) == 2
 
 
 def test_verify_heavy_cycle():
@@ -54,6 +55,15 @@ def test_rotation_on_four_path():
 def test_rotation_rejects_adjacent_endpoints():
     with pytest.raises(ValueError):
         rotation_to_cycle(cycle(4), OrientedPath(cycle(4), [0, 1, 2, 3]), 1, 1)
+
+
+def test_rotation_scan_three_closes():
+    # Scans 1 and 2 find no crossing edge here; scan 3's formula for a late
+    # u-neighbor successor joined to an early v-neighbor successor closes it.
+    g = parse_graph6("Fgt~g")
+    out = rotation_to_cycle(g, [0, 6, 5, 3, 4, 1, 2], 2, 2)
+    assert out.vertices == (0, 6, 2, 5, 3, 4, 1)
+    assert cycle_through_heavy(g).vertices == (0, 6, 2, 5, 3, 4, 1)
 
 
 def test_rotation_inconsistency_on_wrong_split():

@@ -82,3 +82,8 @@ def test_enumerate_mask_order():
     first, second = list(enumerate_labeled(3))[:2]
     assert first == empty(3)
     assert second == Graph(3, [(0, 1)])
+
+
+def test_enumerate_mask_range():
+    every = list(enumerate_labeled(4))
+    assert list(enumerate_labeled(4, masks=range(10, 20))) == every[10:20]

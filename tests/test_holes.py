@@ -1,4 +1,7 @@
 """Hole search and the hole-number, anchored to the naive double enumeration."""
+import dataclasses
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -9,6 +12,7 @@ from biphole import (
     complete,
     cycle,
     empty,
+    erdos_renyi,
     find_hole,
     has_hole,
     hole_number,
@@ -69,6 +73,23 @@ def test_certificates():
         s, t = cert.hole_free_pair
         assert 1 <= s <= t and s + t == cert.value + 1
         assert len(cert.level_witnesses) == cert.value - 1
+
+
+def test_validate_certificate_is_fast_at_n20():
+    g = erdos_renyi(20, 1, 4, 1)
+    cert = bipartite_hole_number(g)
+    assert (cert.value, cert.hole_free_pair) == (15, (8, 8))
+    t0 = time.perf_counter()
+    assert validate_certificate(g, cert)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_validate_certificate_rejects_holed_pair():
+    g = petersen()
+    cert = bipartite_hole_number(g)
+    bogus = dataclasses.replace(cert, hole_free_pair=(1, 5))
+    assert find_hole(g, 1, 5) is not None
+    assert not validate_certificate(g, bogus)
 
 
 def test_certificate_smallest_s_first():

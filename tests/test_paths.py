@@ -6,6 +6,7 @@ from biphole import (
     DegreeConditionError,
     DisconnectedError,
     Graph,
+    InternalInconsistencyError,
     brute_path_through_set,
     complete,
     cycle,
@@ -138,6 +139,18 @@ def test_build_context_and_augment_once():
     better = paths_mod.augment_once(g, ctx)
     assert better.first == p.first and better.last == p.last
     assert len(set(better.vertices) & {0, 1, 2, 3, 4, 5}) > 3
+
+
+def test_round_without_template_raises_at_once():
+    # Star with center 1; heavy leaf 3 touches the path 0-1-2 only at 1, so
+    # no template group applies and the round must raise, not search.
+    g = Graph(4, [(0, 1), (1, 2), (1, 3)])
+    ctx = paths_mod.build_context(g, initial_path(g, 0, 2), 0b1101, 1, 1)
+    assert ctx.w == 3
+    before = paths_mod.DIAGNOSTICS["fallback"]
+    with pytest.raises(InternalInconsistencyError, match="on-path neighbors"):
+        paths_mod.augment_once(g, ctx)
+    assert paths_mod.DIAGNOSTICS["fallback"] == before + 1
 
 
 def test_progress_strict():

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from biphole import UnknownNameError, complete, write_graph6
@@ -68,3 +70,30 @@ def test_failures_are_replayable_and_sorted(monkeypatch):
     )
     assert all(f["property"] == "synthetic" for f in result.failures)
     assert len(result.failures) == 2
+
+
+def test_jobs_clamped_before_pool(monkeypatch):
+    import biphole.sweep as sweep_mod
+
+    requested = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, tasks):
+            return map(fn, tasks)
+
+    class InlineContext:
+        Pool = InlinePool
+
+    monkeypatch.setattr(sweep_mod.multiprocessing, "get_context", lambda method: InlineContext())
+    result = run_enumerated(4, ["alpha-oracle"], jobs=10**6)
+    assert requested == [os.cpu_count() or 1]
+    assert result.checked == run_enumerated(4, ["alpha-oracle"]).checked
