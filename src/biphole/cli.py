@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .conditions import condition_names, run_condition
-from .cycles import cycle_through_heavy, verify_heavy_cycle
+from .cycles import _cycle_through_heavy, _require_two_connected, verify_heavy_cycle
 from .errors import (
     BipholeError,
     DegreeConditionError,
@@ -32,7 +32,7 @@ from .formats import parse_edge_list, parse_graph6, write_dot
 from .generators import named
 from .graph import Graph
 from .holes import bipartite_hole_number, hole_number
-from .paths import heavy_path, verify_heavy_path
+from .paths import _check_endpoints, _heavy_path, verify_heavy_path
 from .sweep import (
     property_names,
     random_corpus,
@@ -111,8 +111,10 @@ def cmd_alpha(args) -> int:
 
 def cmd_cycle(args) -> int:
     g = _load_graph(args)
-    cyc = cycle_through_heavy(g)
-    if args.verify and not verify_heavy_cycle(g, cyc, hole_number(g)):
+    _require_two_connected(g.is_two_connected())
+    cert = bipartite_hole_number(g)
+    cyc = _cycle_through_heavy(g, cert)
+    if args.verify and not verify_heavy_cycle(g, cyc, cert.value):
         raise InternalInconsistencyError("verification failed")
     print(" ".join(map(str, cyc.vertices)))
     if args.dot:
@@ -126,9 +128,11 @@ def cmd_cycle(args) -> int:
 
 def cmd_path(args) -> int:
     g = _load_graph(args)
-    p = heavy_path(g, args.src, args.dst)
+    _check_endpoints(g, args.src, args.dst)
+    cert = bipartite_hole_number(g)
+    p = _heavy_path(g, args.src, args.dst, cert)
     if args.verify and not verify_heavy_path(
-        g, p, args.src, args.dst, hole_number(g) + 1
+        g, p, args.src, args.dst, cert.value + 1
     ):
         raise InternalInconsistencyError("verification failed")
     print(" ".join(map(str, p.vertices)))

@@ -107,21 +107,22 @@ def alpha2(g: Graph, x: int, y: int) -> int:
     """Independence number of G[N2(x) intersect N2(y)]; 0 when empty."""
     if g.distance(x, y) != 2:
         raise ValueError(f"alpha2 requires distance({x},{y}) = 2")
-    shared = g.vertices_at_distance(x, 2) & g.vertices_at_distance(y, 2)
+    return _alpha2(g, g.distances_from(x), g.distances_from(y))
+
+
+def _alpha2(g: Graph, dist_x, dist_y) -> int:
+    """alpha2 from the BFS distance rows of x and y."""
+    shared = [v for v in range(g.n) if dist_x[v] == 2 and dist_y[v] == 2]
     if not shared:
         return 0
     sub, _ = g.induced_subgraph(shared)
     return independence_number(sub)
 
 
-def _distance_two_pairs(g: Graph) -> list[tuple[int, int]]:
-    pairs = []
-    for x in range(g.n):
-        dist = g.distances_from(x)
-        for y in range(x + 1, g.n):
-            if dist[y] == 2:
-                pairs.append((x, y))
-    return pairs
+def _distance_two_pairs(rows) -> list[tuple[int, int]]:
+    """Pairs x < y at distance two, from every vertex's BFS distance row."""
+    n = len(rows)
+    return [(x, y) for x in range(n) for y in range(x + 1, n) if rows[x][y] == 2]
 
 
 def check_dirac(g: Graph) -> ConditionReport:
@@ -203,12 +204,13 @@ def check_fan_type(g: Graph, alpha_tilde: int | None = None) -> ConditionReport:
     params = {"n": g.n, "alpha_tilde": at}
     bad = []
     exempt = []
-    for x, y in _distance_two_pairs(g):
+    rows = [g.distances_from(x) for x in range(g.n)]
+    for x, y in _distance_two_pairs(rows):
         if max(g.degree(x), g.degree(y)) >= at:
             exempt.append({"pair": [x, y], "max_degree": max(g.degree(x), g.degree(y))})
             continue
         i_xy = common_neighbors(g, x, y)
-        a2 = alpha2(g, x, y)
+        a2 = _alpha2(g, rows[x], rows[y])
         if i_xy < a2 + 2:
             bad.append({"pair": [x, y], "common_neighbors": i_xy, "alpha2": a2})
     return _report("fan_type", bad, params, exempt)
@@ -219,7 +221,7 @@ def check_liu_yuan_zhang(g: Graph, alpha_tilde: int | None = None) -> ConditionR
     at = hole_number(g) if alpha_tilde is None else alpha_tilde
     params = {"n": g.n, "alpha_tilde": at}
     bad = []
-    for x, y in _distance_two_pairs(g):
+    for x, y in _distance_two_pairs([g.distances_from(x) for x in range(g.n)]):
         md = max(g.degree(x), g.degree(y))
         if md < at:
             bad.append({"pair": [x, y], "max_degree": md})

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .errors import InternalInconsistencyError, NotTwoConnectedError, WalkError
 from .graph import Graph
-from .holes import bipartite_hole_number
+from .holes import HoleCertificate, bipartite_hole_number
 from .walks import Cycle, OrientedPath, is_cycle_sequence
 
 logger = logging.getLogger(__name__)
@@ -200,9 +200,18 @@ def cycle_through_heavy(g: Graph) -> Cycle:
     InternalInconsistencyError only on a bug (the underlying statement
     guarantees success).
     """
-    if not g.is_two_connected():
+    _require_two_connected(g.is_two_connected())
+    return _cycle_through_heavy(g, bipartite_hole_number(g))
+
+
+def _require_two_connected(two_connected: bool) -> None:
+    if not two_connected:
         raise NotTwoConnectedError("cycle_through_heavy requires a 2-connected graph")
-    cert = bipartite_hole_number(g)
+
+
+def _cycle_through_heavy(g: Graph, cert: HoleCertificate) -> Cycle:
+    """The body of ``cycle_through_heavy``, given a 2-connected g and its
+    certificate."""
     threshold = cert.value
     heavy = [x for x in range(g.n) if g.degree(x) >= threshold]
 

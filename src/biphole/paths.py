@@ -19,15 +19,15 @@ InternalInconsistencyError at once, naming the case that failed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DegreeConditionError,
     DisconnectedError,
     InternalInconsistencyError,
 )
-from .graph import Graph, iter_bits
-from .holes import bipartite_hole_number
+from .graph import Graph, iter_bits, mask_of
+from .holes import HoleCertificate, bipartite_hole_number
 from .walks import OrientedPath, is_path_sequence
 
 #: ``"fallback"`` counts the rounds that no template group closed.
@@ -48,12 +48,16 @@ def _chain(*parts) -> list[int]:
     return seq
 
 
-def initial_path(g: Graph, u: int, v: int) -> OrientedPath:
-    """Shortest (u, v)-path by BFS with ascending tie-breaks."""
+def _check_endpoints(g: Graph, u: int, v: int) -> None:
     if u == v:
         raise ValueError("endpoints must differ")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError("vertex outside graph")
+
+
+def initial_path(g: Graph, u: int, v: int) -> OrientedPath:
+    """Shortest (u, v)-path by BFS with ascending tie-breaks."""
+    _check_endpoints(g, u, v)
     parent = {u: -1}
     frontier = [u]
     while frontier and v not in parent:
@@ -77,7 +81,7 @@ def initial_path(g: Graph, u: int, v: int) -> OrientedPath:
 class AugmentContext:
     """One absorption round: the path, the heavy target w off it, the
     connector Q (path-endpoint first, w last), the attachment position, the
-    first heavy position after it, and the hole-free split."""
+    first heavy position after it, and the s of the hole-free split."""
 
     path: OrientedPath
     w: int
@@ -85,15 +89,7 @@ class AugmentContext:
     p_pos: int
     q_pos: int
     s: int
-    t: int
     heavy_mask: int
-    off_mask: int = field(init=False)
-
-    def __post_init__(self):
-        on = 0
-        for x in self.path.vertices:
-            on |= 1 << x
-        self.off_mask = ((1 << self.path.graph.n) - 1) & ~on
 
 
 def _shortest_connector(g: Graph, path: OrientedPath, w: int) -> list[int] | None:
@@ -294,20 +290,28 @@ def _try_anchored(g, path, w, r_pos, q2, heavy_mask):
     return None
 
 
-def build_context(g: Graph, path: OrientedPath, heavy_mask: int, s: int, t: int) -> AugmentContext:
+def build_context(g: Graph, path: OrientedPath, heavy_mask: int, s: int) -> AugmentContext:
     """Pick the nearest missing heavy vertex, its shortest connector, and the
     attachment bookkeeping; reorients the path so the attachment is not the
     far endpoint, and re-anchors the connector while its inner end touches
-    the heavy pivot."""
-    on = set(path.vertices)
-    missing = [x for x in range(g.n) if heavy_mask >> x & 1 and x not in on]
+    the heavy pivot.
+
+    The nearest vertex is the lowest id in the first layer of a BFS from the
+    whole path that holds a missing heavy vertex; when none is reachable it
+    is the lowest missing id, and the connector search reports it.
+    """
+    seen = frontier = mask_of(path.vertices)
+    missing = heavy_mask & ~seen
     if not missing:
         raise ValueError("no heavy vertex off the path")
-    dist = {}
-    for x in missing:
-        d = path.graph.distances_from(x)
-        dist[x] = min(d[y] for y in path.vertices)
-    w = min(missing, key=lambda x: (dist[x], x))
+    while frontier and not frontier & missing:
+        nxt = 0
+        for b in iter_bits(frontier):
+            nxt |= g.adj_mask(b)
+        frontier = nxt & ~seen
+        seen |= frontier
+    hit = frontier & missing or missing
+    w = (hit & -hit).bit_length() - 1
     connector = _shortest_connector(g, path, w)
     if connector is None:
         raise DisconnectedError(f"heavy vertex {w} unreachable from the path")
@@ -342,7 +346,6 @@ def build_context(g: Graph, path: OrientedPath, heavy_mask: int, s: int, t: int)
         p_pos=p_pos,
         q_pos=q_pos,
         s=s,
-        t=t,
         heavy_mask=heavy_mask,
     )
 
@@ -390,11 +393,13 @@ def heavy_path(g: Graph, u: int, v: int) -> OrientedPath:
     Both endpoints must meet that degree bound, and all such vertices must
     share a component with them.
     """
-    if u == v:
-        raise ValueError("endpoints must differ")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError("vertex outside graph")
-    cert = bipartite_hole_number(g)
+    _check_endpoints(g, u, v)
+    return _heavy_path(g, u, v, bipartite_hole_number(g))
+
+
+def _heavy_path(g: Graph, u: int, v: int, cert: HoleCertificate) -> OrientedPath:
+    """The body of ``heavy_path``, given distinct in-range endpoints and
+    g's certificate."""
     threshold = cert.value + 1
     if g.degree(u) < threshold or g.degree(v) < threshold:
         raise DegreeConditionError(
@@ -431,7 +436,7 @@ def heavy_path(g: Graph, u: int, v: int) -> OrientedPath:
         rest = sorted(set(range(g.n)) - {u, v})
         return OrientedPath(g, [u] + rest + [v])
 
-    s, t = cert.hole_free_pair
+    s = cert.hole_free_pair[0]
     path = initial_path(g, u, v)
     for _ in range(heavy_mask.bit_count() + 1):
         on = set(path.vertices)
@@ -439,7 +444,7 @@ def heavy_path(g: Graph, u: int, v: int) -> OrientedPath:
             heavy_mask >> x & 1 and x not in on for x in range(g.n)
         ):
             break
-        ctx = build_context(g, path, heavy_mask, s, t)
+        ctx = build_context(g, path, heavy_mask, s)
         path = augment_once(g, ctx)
     else:
         raise InternalInconsistencyError("absorption loop failed to converge")

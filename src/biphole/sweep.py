@@ -1,8 +1,11 @@
 """Property sweeps over graph streams: theorem soundness, oracle agreement,
 certificate validity, format round-trips.
 
-Each property takes a graph and returns None when it does not apply, or a
-list of failure records (empty meaning pass).  The runner walks a graph
+Each property takes a graph and its ``GraphFacts`` and returns None when it
+does not apply, or a list of failure records (empty meaning pass).  The
+facts are computed at most once per graph and shared by every property, so
+a sweep builds each graph's certificate once; ``alpha-oracle`` checks that
+shared certificate against the naive search.  The runner walks a graph
 source, optionally fanning out over worker processes, and aggregates a
 deterministic summary; every failure carries the offending graph6 line so it
 can be replayed.
@@ -12,24 +15,46 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .conditions import check_fan_type, check_liu_yuan_zhang
-from .cycles import cycle_through_heavy, verify_heavy_cycle
+from .cycles import _cycle_through_heavy, _require_two_connected, verify_heavy_cycle
 from .errors import BipholeError, SizeGuardError, UnknownNameError
 from .formats import parse_graph6, write_graph6
 from .generators import enumerate_labeled, erdos_renyi
 from .graph import Graph
-from .holes import hole_number, naive_hole_number, bipartite_hole_number, validate_certificate
+from .holes import (
+    HoleCertificate,
+    bipartite_hole_number,
+    naive_hole_number,
+    validate_certificate,
+)
 from .oracle import brute_hamiltonian, brute_hamiltonian_connected
-from .paths import heavy_path, verify_heavy_path
+from .paths import _heavy_path, verify_heavy_path
 
 
-def _prop_alpha_oracle(g: Graph):
+class GraphFacts:
+    """Per-graph analysis shared by the properties; each field is computed
+    on first read only."""
+
+    def __init__(self, g: Graph):
+        self.graph = g
+
+    @cached_property
+    def cert(self) -> HoleCertificate:
+        return bipartite_hole_number(self.graph)
+
+    @cached_property
+    def two_connected(self) -> bool:
+        return self.graph.is_two_connected()
+
+
+def _prop_alpha_oracle(g: Graph, facts: GraphFacts):
     try:
         naive = naive_hole_number(g)
     except SizeGuardError:
         return None
-    cert = bipartite_hole_number(g)
+    cert = facts.cert
     failures = []
     if cert.value != naive:
         failures.append(
@@ -40,12 +65,12 @@ def _prop_alpha_oracle(g: Graph):
     return failures
 
 
-def _prop_heavy_cycle(g: Graph):
-    if not g.is_two_connected():
+def _prop_heavy_cycle(g: Graph, facts: GraphFacts):
+    if not facts.two_connected:
         return None
-    threshold = hole_number(g)
+    threshold = facts.cert.value
     try:
-        cyc = cycle_through_heavy(g)
+        cyc = _cycle_through_heavy(g, facts.cert)
     except BipholeError as exc:
         return [{"detail": f"construction raised {type(exc).__name__}: {exc}"}]
     if not verify_heavy_cycle(g, cyc, threshold):
@@ -53,10 +78,10 @@ def _prop_heavy_cycle(g: Graph):
     return []
 
 
-def _prop_heavy_path(g: Graph):
+def _prop_heavy_path(g: Graph, facts: GraphFacts):
     if g.n < 2 or not g.is_connected():
         return None
-    threshold = hole_number(g) + 1
+    threshold = facts.cert.value + 1
     failures = []
     ran = False
     for u in range(g.n):
@@ -67,7 +92,7 @@ def _prop_heavy_path(g: Graph):
                 continue
             ran = True
             try:
-                p = heavy_path(g, u, v)
+                p = _heavy_path(g, u, v, facts.cert)
             except BipholeError as exc:
                 failures.append(
                     {"detail": f"({u},{v}) raised {type(exc).__name__}: {exc}"}
@@ -78,14 +103,15 @@ def _prop_heavy_path(g: Graph):
     return failures if ran else None
 
 
-def _prop_min_degree_ham(g: Graph):
+def _prop_min_degree_ham(g: Graph, facts: GraphFacts):
     if g.n < 3:
         return None
-    if g.min_degree() < hole_number(g):
+    if g.min_degree() < facts.cert.value:
         return None
     failures = []
     try:
-        cyc = cycle_through_heavy(g)
+        _require_two_connected(facts.two_connected)
+        cyc = _cycle_through_heavy(g, facts.cert)
         if len(cyc) != g.n:
             failures.append(
                 {"detail": f"expected Hamilton cycle, got length {len(cyc)}"}
@@ -97,16 +123,16 @@ def _prop_min_degree_ham(g: Graph):
     return failures
 
 
-def _prop_min_degree_hc(g: Graph):
+def _prop_min_degree_hc(g: Graph, facts: GraphFacts):
     if g.n < 3:
         return None
-    if g.min_degree() < hole_number(g) + 1:
+    if g.min_degree() < facts.cert.value + 1:
         return None
     failures = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
             try:
-                p = heavy_path(g, u, v)
+                p = _heavy_path(g, u, v, facts.cert)
                 if len(p) != g.n:
                     failures.append(
                         {"detail": f"({u},{v}): not a Hamilton path"}
@@ -120,10 +146,10 @@ def _prop_min_degree_hc(g: Graph):
     return failures
 
 
-def _prop_fan_ham(g: Graph):
-    if not g.is_two_connected():
+def _prop_fan_ham(g: Graph, facts: GraphFacts):
+    if not facts.two_connected:
         return None
-    at = hole_number(g)
+    at = facts.cert.value
     failures = []
     if check_fan_type(g, at).holds and not brute_hamiltonian(g):
         failures.append({"detail": "fan-type condition holds but graph is not hamiltonian"})
@@ -132,16 +158,16 @@ def _prop_fan_ham(g: Graph):
     return failures
 
 
-def _prop_dirac_chain(g: Graph):
+def _prop_dirac_chain(g: Graph, facts: GraphFacts):
     if g.n < 1 or 2 * g.min_degree() < g.n:
         return None
     bound = (g.n + 1) // 2
-    if hole_number(g) > bound:
+    if facts.cert.value > bound:
         return [{"detail": f"hole-number exceeds ceil(n/2) = {bound}"}]
     return []
 
 
-def _prop_g6_roundtrip(g: Graph):
+def _prop_g6_roundtrip(g: Graph, facts: GraphFacts):
     encoded = write_graph6(g)
     if parse_graph6(encoded) != g:
         return [{"detail": f"round-trip mismatch via {encoded!r}"}]
@@ -184,13 +210,14 @@ class SweepResult:
 
 def check_graph(g: Graph, properties: list[str]) -> SweepResult:
     result = SweepResult()
+    facts = GraphFacts(g)
     g6 = None
     for name in properties:
         try:
             prop = PROPERTIES[name]
         except KeyError:
             raise UnknownNameError("property", name, property_names()) from None
-        outcome = prop(g)
+        outcome = prop(g, facts)
         if outcome is None:
             result.skipped[name] = result.skipped.get(name, 0) + 1
             continue
@@ -232,6 +259,7 @@ def run_enumerated(
         if name not in PROPERTIES:
             raise UnknownNameError("property", name, property_names())
     total = 1 << (n * (n - 1) // 2)
+    jobs = _clamp_jobs(jobs)
     if jobs <= 1:
         result = SweepResult()
         for g in enumerate_labeled(n, allow_large=allow_large):
@@ -252,6 +280,7 @@ def run_graph6_lines(
     for name in properties:
         if name not in PROPERTIES:
             raise UnknownNameError("property", name, property_names())
+    jobs = _clamp_jobs(jobs)
     if jobs <= 1:
         result = SweepResult()
         for line in lines:
@@ -265,8 +294,12 @@ def run_graph6_lines(
     return _run_tasks(tasks, jobs)
 
 
+def _clamp_jobs(jobs: int) -> int:
+    """At most one worker per CPU; chunk sizes are computed from this."""
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _run_tasks(tasks, jobs: int) -> SweepResult:
-    jobs = min(jobs, os.cpu_count() or 1)
     ctx = multiprocessing.get_context("fork")
     result = SweepResult()
     with ctx.Pool(processes=jobs) as pool:

@@ -168,7 +168,7 @@ def test_cli_deterministic(capsys):
 def test_sweep_failure_exit_and_dump(capsys, monkeypatch):
     import biphole.sweep as sweep_mod
 
-    def always_fails(g):
+    def always_fails(g, facts):
         return [{"detail": "synthetic"}]
 
     monkeypatch.setitem(sweep_mod.PROPERTIES, "always-fails", always_fails)
@@ -181,3 +181,27 @@ def test_sweep_failure_exit_and_dump(capsys, monkeypatch):
     record = doc["failures"][0]
     assert record["detail"] == "synthetic"
     parse_graph6(record["graph6"])  # replayable counterexample line
+
+
+def test_cycle_and_path_verify_build_one_certificate(capsys, monkeypatch):
+    import biphole.cli as cli_mod
+
+    calls = []
+    original = cli_mod.bipartite_hole_number
+
+    def counted(g):
+        calls.append(g.n)
+        return original(g)
+
+    def forbidden(g):
+        raise AssertionError("second hole-number computation")
+
+    monkeypatch.setattr(cli_mod, "bipartite_hole_number", counted)
+    monkeypatch.setattr(cli_mod, "hole_number", forbidden)
+    code, out, _ = run(capsys, "cycle", "--family", "complete,6", "--verify")
+    assert code == 0 and sorted(map(int, out.split())) == list(range(6))
+    code, out, _ = run(
+        capsys, "path", "--family", "complete,5", "--from", "0", "--to", "4", "--verify"
+    )
+    assert code == 0 and out.split() == ["0", "1", "2", "3", "4"]
+    assert calls == [6, 5]

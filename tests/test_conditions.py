@@ -89,6 +89,34 @@ def test_fan_guard_exemption():
     assert rep.holds and rep.exempt and not rep.violations
 
 
+@given(graphs(min_n=1, max_n=9))
+@settings(max_examples=150, deadline=None)
+def test_fan_type_matches_pairwise_alpha2(g):
+    # Rebuild the report pair by pair through the public alpha2.
+    at = hole_number(g)
+    bad, exempt = [], []
+    for x, y in combinations(range(g.n), 2):
+        if g.distance(x, y) != 2:
+            continue
+        md = max(g.degree(x), g.degree(y))
+        if md >= at:
+            exempt.append({"pair": [x, y], "max_degree": md})
+            continue
+        i_xy = common_neighbors(g, x, y)
+        a2 = alpha2(g, x, y)
+        if i_xy < a2 + 2:
+            bad.append({"pair": [x, y], "common_neighbors": i_xy, "alpha2": a2})
+    expected = {
+        "name": "fan_type",
+        "holds": not bad,
+        "violations": bad,
+        "parameters": {"n": g.n, "alpha_tilde": at},
+    }
+    if exempt:
+        expected["exempt"] = exempt
+    assert check_fan_type(g).to_json() == expected
+
+
 def test_liu_yuan_zhang():
     rep = check_liu_yuan_zhang(cycle(5))
     assert not rep.holds and len(rep.violations) == 5

@@ -1,5 +1,7 @@
 """Heavy-path construction, checked against the brute-force oracle."""
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import biphole.paths as paths_mod
 from biphole import (
@@ -19,7 +21,7 @@ from biphole import (
 )
 from biphole.generators import enumerate_labeled, erdos_renyi
 
-from conftest import seeded_graphs
+from conftest import graphs, seeded_graphs
 
 K4_MINUS_EDGE = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
 
@@ -132,7 +134,7 @@ def test_build_context_and_augment_once():
     p = initial_path(g, 0, 3)
     assert p.vertices == (0, 1, 3)
     heavy_mask = sum(1 << v for v in range(6))  # threshold 3, all heavy
-    ctx = paths_mod.build_context(g, p, heavy_mask, 1, 2)
+    ctx = paths_mod.build_context(g, p, heavy_mask, 1)
     assert ctx.w == 2  # nearest missing heavy vertex, smallest id
     assert ctx.connector[-1] == ctx.w
     assert set(ctx.connector[1:-1]).isdisjoint(ctx.path.vertices)
@@ -141,11 +143,47 @@ def test_build_context_and_augment_once():
     assert len(set(better.vertices) & {0, 1, 2, 3, 4, 5}) > 3
 
 
+@st.composite
+def _rounds(draw):
+    """A graph, a shortest (u, v)-path and a heavy mask holding u, v and at
+    least one vertex off the path."""
+    g = draw(graphs(min_n=3, max_n=9))
+    u, v = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+    try:
+        p = initial_path(g, u, v)
+    except DisconnectedError:
+        p = None
+    assume(p is not None and len(p) < g.n)
+    off = [x for x in range(g.n) if x not in p.vertices]
+    extra = draw(st.lists(st.sampled_from(off), min_size=1, unique=True))
+    heavy_mask = (1 << u) | (1 << v) | sum(1 << x for x in extra)
+    return g, p, heavy_mask
+
+
+@given(_rounds())
+@settings(max_examples=300, deadline=None)
+def test_build_context_picks_nearest_like_per_vertex_bfs(case):
+    g, p, heavy_mask = case
+    # Reference: one BFS per missing heavy vertex, lowest id at the least
+    # distance to the path.
+    on = set(p.vertices)
+    missing = [x for x in range(g.n) if heavy_mask >> x & 1 and x not in on]
+    dist = {x: min(g.distances_from(x)[y] for y in p.vertices) for x in missing}
+    expected = min(missing, key=lambda x: (dist[x], x))
+    try:
+        ctx = paths_mod.build_context(g, p, heavy_mask, 1)
+    except DisconnectedError as exc:
+        assert f"heavy vertex {expected} unreachable" in str(exc)
+        assert dist[expected] == float("inf")
+    else:
+        assert ctx.w == expected
+
+
 def test_round_without_template_raises_at_once():
     # Star with center 1; heavy leaf 3 touches the path 0-1-2 only at 1, so
     # no template group applies and the round must raise, not search.
     g = Graph(4, [(0, 1), (1, 2), (1, 3)])
-    ctx = paths_mod.build_context(g, initial_path(g, 0, 2), 0b1101, 1, 1)
+    ctx = paths_mod.build_context(g, initial_path(g, 0, 2), 0b1101, 1)
     assert ctx.w == 3
     before = paths_mod.DIAGNOSTICS["fallback"]
     with pytest.raises(InternalInconsistencyError, match="on-path neighbors"):

@@ -59,7 +59,7 @@ def test_property_names_stable():
 def test_failures_are_replayable_and_sorted(monkeypatch):
     import biphole.sweep as sweep_mod
 
-    def half_fail(g):
+    def half_fail(g, facts):
         return [{"detail": "odd order"}] if g.n % 2 else []
 
     monkeypatch.setitem(sweep_mod.PROPERTIES, "synthetic", half_fail)
@@ -72,14 +72,13 @@ def test_failures_are_replayable_and_sorted(monkeypatch):
     assert len(result.failures) == 2
 
 
-def test_jobs_clamped_before_pool(monkeypatch):
+def _inline_pool(monkeypatch, sizes, tasks):
+    """Run the pool's work in-process, recording its size and its tasks."""
     import biphole.sweep as sweep_mod
-
-    requested = []
 
     class InlinePool:
         def __init__(self, processes):
-            requested.append(processes)
+            sizes.append(processes)
 
         def __enter__(self):
             return self
@@ -87,13 +86,80 @@ def test_jobs_clamped_before_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap_unordered(self, fn, tasks):
-            return map(fn, tasks)
+        def imap_unordered(self, fn, submitted):
+            submitted = list(submitted)
+            tasks.extend(submitted)
+            return map(fn, submitted)
 
     class InlineContext:
         Pool = InlinePool
 
     monkeypatch.setattr(sweep_mod.multiprocessing, "get_context", lambda method: InlineContext())
+
+
+def test_jobs_clamped_before_pool(monkeypatch):
+    # Two CPUs, so the clamped value still takes the pool path.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    requested = []
+    _inline_pool(monkeypatch, requested, [])
     result = run_enumerated(4, ["alpha-oracle"], jobs=10**6)
     assert requested == [os.cpu_count() or 1]
     assert result.checked == run_enumerated(4, ["alpha-oracle"]).checked
+
+
+def test_chunks_follow_clamped_jobs(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sizes, huge, clamped = [], [], []
+    _inline_pool(monkeypatch, sizes, huge)
+    run_enumerated(4, ["alpha-oracle"], jobs=10**6)
+    _inline_pool(monkeypatch, sizes, clamped)
+    run_enumerated(4, ["alpha-oracle"], jobs=os.cpu_count())
+    assert sizes == [2, 2]
+    assert len(huge) == len(clamped) == 16
+    lines = [write_graph6(complete(n)) for n in range(3, 9)]
+    by_lines = []
+    _inline_pool(monkeypatch, sizes, by_lines)
+    run_graph6_lines(lines, ["g6-roundtrip"], jobs=10**6)
+    assert sizes[-1] == 2 and len(by_lines) == len(lines)
+
+
+def _counting(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_one_certificate_per_graph(monkeypatch):
+    import biphole
+    import biphole.conditions as conditions_mod
+    import biphole.cycles as cycles_mod
+    import biphole.holes as holes_mod
+    import biphole.paths as paths_mod
+    import biphole.sweep as sweep_mod
+
+    counts = {}
+    for mod in (sweep_mod, cycles_mod, paths_mod, holes_mod, biphole):
+        _counting(monkeypatch, mod, "bipartite_hole_number", counts)
+    for mod in (conditions_mod, holes_mod, biphole):
+        _counting(monkeypatch, mod, "hole_number", counts)
+    result = run_enumerated(5, list(property_names()))
+    assert result.ok
+    assert result.checked["alpha-oracle"] == 1 << 10
+    assert counts == {"bipartite_hole_number": 1 << 10}
+
+
+def test_roundtrip_only_sweep_analyses_nothing(monkeypatch):
+    import biphole.sweep as sweep_mod
+    from biphole import Graph
+
+    def forbidden(*args):
+        raise AssertionError("computed a fact no selected property reads")
+
+    monkeypatch.setattr(sweep_mod, "bipartite_hole_number", forbidden)
+    monkeypatch.setattr(Graph, "is_two_connected", forbidden)
+    result = run_enumerated(4, ["g6-roundtrip"])
+    assert result.ok and result.checked == {"g6-roundtrip": 64}
