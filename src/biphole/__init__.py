@@ -18,7 +18,6 @@ from .conditions import (
     run_condition,
 )
 from .cycles import (
-    RotationContext,
     cycle_through_heavy,
     rotation_to_cycle,
     verify_heavy_cycle,

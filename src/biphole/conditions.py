@@ -56,9 +56,11 @@ def independence_number(g: Graph) -> int:
     greedy clique cover (a partition into cliques caps any independent set
     at one vertex per clique).
     """
-    n = g.n
-    if n == 0:
-        return 0
+    return _independence(g, (1 << g.n) - 1)
+
+
+def _independence(g: Graph, cand_mask: int) -> int:
+    """Independence number of the subgraph induced by ``cand_mask``."""
     adj = g._adj
     best = 0
 
@@ -92,7 +94,7 @@ def independence_number(g: Graph) -> int:
         expand(cand & ~(adj[pivot] | (1 << pivot)), size + 1)
         expand(cand ^ (1 << pivot), size)
 
-    expand((1 << n) - 1, 0)
+    expand(cand_mask, 0)
     return best
 
 
@@ -103,54 +105,42 @@ def common_neighbors(g: Graph, x: int, y: int) -> int:
     return (g.adj_mask(x) & g.adj_mask(y)).bit_count()
 
 
+def _distance_two(g: Graph, x: int) -> int:
+    """N2(x) as a mask: N[N(x)] minus N[x]."""
+    nx = g.adj_mask(x)
+    return g.closed_neighborhood_mask(nx) & ~(nx | 1 << x)
+
+
 def alpha2(g: Graph, x: int, y: int) -> int:
     """Independence number of G[N2(x) intersect N2(y)]; 0 when empty."""
     if g.distance(x, y) != 2:
         raise ValueError(f"alpha2 requires distance({x},{y}) = 2")
-    return _alpha2(g, g.distances_from(x), g.distances_from(y))
+    return _independence(g, _distance_two(g, x) & _distance_two(g, y))
 
 
-def _alpha2(g: Graph, dist_x, dist_y) -> int:
-    """alpha2 from the BFS distance rows of x and y."""
-    shared = [v for v in range(g.n) if dist_x[v] == 2 and dist_y[v] == 2]
-    if not shared:
-        return 0
-    sub, _ = g.induced_subgraph(shared)
-    return independence_number(sub)
+def _distance_two_pairs(n2: list[int]) -> list[tuple[int, int]]:
+    """Pairs x < y at distance two, from every vertex's N2 mask."""
+    return [(x, y) for x, m in enumerate(n2) for y in iter_bits(m >> x + 1 << x + 1)]
 
 
-def _distance_two_pairs(rows) -> list[tuple[int, int]]:
-    """Pairs x < y at distance two, from every vertex's BFS distance row."""
-    n = len(rows)
-    return [(x, y) for x in range(n) for y in range(x + 1, n) if rows[x][y] == 2]
+def _degree_floor(name: str, g: Graph, low: int, extra_params: dict) -> ConditionReport:
+    """Every degree at least ``low``, order at least three."""
+    n = g.n
+    params = {"n": n, "min_degree": g.min_degree(), **extra_params}
+    if n < 3:
+        return _report(name, [{"kind": "order", "n": n}], params)
+    bad = [{"vertex": v, "degree": g.degree(v)} for v in range(n) if g.degree(v) < low]
+    return _report(name, bad, params)
 
 
 def check_dirac(g: Graph) -> ConditionReport:
     """Minimum degree at least n/2, order at least three."""
-    n = g.n
-    params = {"n": n, "min_degree": g.min_degree()}
-    if n < 3:
-        return _report("dirac", [{"kind": "order", "n": n}], params)
-    bad = [
-        {"vertex": v, "degree": g.degree(v)}
-        for v in range(n)
-        if 2 * g.degree(v) < n
-    ]
-    return _report("dirac", bad, params)
+    return _degree_floor("dirac", g, (g.n + 1) // 2, {})
 
 
 def check_erdos_gallai(g: Graph) -> ConditionReport:
     """Minimum degree at least (n+1)/2, order at least three."""
-    n = g.n
-    params = {"n": n, "min_degree": g.min_degree()}
-    if n < 3:
-        return _report("erdos_gallai", [{"kind": "order", "n": n}], params)
-    bad = [
-        {"vertex": v, "degree": g.degree(v)}
-        for v in range(n)
-        if 2 * g.degree(v) < n + 1
-    ]
-    return _report("erdos_gallai", bad, params)
+    return _degree_floor("erdos_gallai", g, (g.n + 2) // 2, {})
 
 
 def check_ore(g: Graph) -> ConditionReport:
@@ -168,28 +158,14 @@ def check_ore(g: Graph) -> ConditionReport:
 
 def check_mcdiarmid_yolov(g: Graph, alpha_tilde: int | None = None) -> ConditionReport:
     """Minimum degree at least the bipartite-hole-number, order >= 3."""
-    n = g.n
     at = hole_number(g) if alpha_tilde is None else alpha_tilde
-    params = {"n": n, "min_degree": g.min_degree(), "alpha_tilde": at}
-    if n < 3:
-        return _report("mcdiarmid_yolov", [{"kind": "order", "n": n}], params)
-    bad = [
-        {"vertex": v, "degree": g.degree(v)} for v in range(n) if g.degree(v) < at
-    ]
-    return _report("mcdiarmid_yolov", bad, params)
+    return _degree_floor("mcdiarmid_yolov", g, at, {"alpha_tilde": at})
 
 
 def check_zhou(g: Graph, alpha_tilde: int | None = None) -> ConditionReport:
     """Minimum degree at least the bipartite-hole-number plus one, order >= 3."""
-    n = g.n
     at = hole_number(g) if alpha_tilde is None else alpha_tilde
-    params = {"n": n, "min_degree": g.min_degree(), "alpha_tilde": at}
-    if n < 3:
-        return _report("zhou", [{"kind": "order", "n": n}], params)
-    bad = [
-        {"vertex": v, "degree": g.degree(v)} for v in range(n) if g.degree(v) < at + 1
-    ]
-    return _report("zhou", bad, params)
+    return _degree_floor("zhou", g, at + 1, {"alpha_tilde": at})
 
 
 def check_fan_type(g: Graph, alpha_tilde: int | None = None) -> ConditionReport:
@@ -204,13 +180,13 @@ def check_fan_type(g: Graph, alpha_tilde: int | None = None) -> ConditionReport:
     params = {"n": g.n, "alpha_tilde": at}
     bad = []
     exempt = []
-    rows = [g.distances_from(x) for x in range(g.n)]
-    for x, y in _distance_two_pairs(rows):
+    n2 = [_distance_two(g, x) for x in range(g.n)]
+    for x, y in _distance_two_pairs(n2):
         if max(g.degree(x), g.degree(y)) >= at:
             exempt.append({"pair": [x, y], "max_degree": max(g.degree(x), g.degree(y))})
             continue
         i_xy = common_neighbors(g, x, y)
-        a2 = _alpha2(g, rows[x], rows[y])
+        a2 = _independence(g, n2[x] & n2[y])
         if i_xy < a2 + 2:
             bad.append({"pair": [x, y], "common_neighbors": i_xy, "alpha2": a2})
     return _report("fan_type", bad, params, exempt)
@@ -221,7 +197,7 @@ def check_liu_yuan_zhang(g: Graph, alpha_tilde: int | None = None) -> ConditionR
     at = hole_number(g) if alpha_tilde is None else alpha_tilde
     params = {"n": g.n, "alpha_tilde": at}
     bad = []
-    for x, y in _distance_two_pairs([g.distances_from(x) for x in range(g.n)]):
+    for x, y in _distance_two_pairs([_distance_two(g, x) for x in range(g.n)]):
         md = max(g.degree(x), g.degree(y))
         if md < at:
             bad.append({"pair": [x, y], "max_degree": md})

@@ -16,39 +16,12 @@ hole-freeness, which is all the case analysis consumes.
 """
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InternalInconsistencyError, NotTwoConnectedError, WalkError
 from .graph import Graph
 from .holes import HoleCertificate, bipartite_hole_number
 from .walks import Cycle, OrientedPath, is_cycle_sequence
-
-logger = logging.getLogger(__name__)
-
-
-@dataclass
-class RotationContext:
-    """Neighborhood partition of the path endpoints around the pivot index.
-
-    ``u_off``/``v_off`` are the off-path neighbor sets of the endpoints;
-    ``r_pos`` is the position of the pivot chosen so that exactly
-    s - |u_off| on-path neighbors of the first endpoint lie at or before it.
-    The u2/u3 and v2/v3 splits are the on-path neighbor positions on either
-    side of the pivot.
-    """
-
-    path: OrientedPath
-    s: int
-    t: int
-    u_off: tuple[int, ...]
-    v_off: tuple[int, ...]
-    r_pos: int
-    u2_pos: tuple[int, ...]
-    u3_pos: tuple[int, ...]
-    v2_pos: tuple[int, ...]
-    v3_pos: tuple[int, ...]
 
 
 def _finish_cycle(g: Graph, seq: Sequence[int], must_cover: Sequence[int]) -> Cycle:
@@ -111,30 +84,25 @@ def rotation_to_cycle(g: Graph, path, s: int, t: int) -> Cycle:
         raise InternalInconsistencyError(
             "first endpoint has too few on-path neighbors; wrong split?"
         )
+    # The pivot r_pos has exactly s - |u_off| on-path neighbors of u at or
+    # before it; u2/u3 and v2/v3 split the on-path neighbor positions of the
+    # endpoints on either side of it.
     r_pos = u_on_pos[need - 1]
-    ctx = RotationContext(
-        path=p,
-        s=s,
-        t=t,
-        u_off=tuple(u_off),
-        v_off=tuple(v_off),
-        r_pos=r_pos,
-        u2_pos=tuple(u_on_pos[:need]),
-        u3_pos=tuple(i for i in u_on_pos[need:] if i <= k - 2),
-        v2_pos=tuple(i for i in v_on_pos if r_pos <= i <= k - 2),
-        v3_pos=tuple(i for i in v_on_pos if 1 <= i <= r_pos - 1),
-    )
+    u2_pos = u_on_pos[:need]
+    u3_pos = [i for i in u_on_pos[need:] if i <= k - 2]
+    v2_pos = [i for i in v_on_pos if r_pos <= i <= k - 2]
+    v3_pos = [i for i in v_on_pos if 1 <= i <= r_pos - 1]
 
     # Scan 2: predecessors of the early u-neighbors against v_off and the
     # shifted late v-neighbors.
-    u2_pred = sorted(verts[i - 1] for i in ctx.u2_pos)
+    u2_pred = sorted(verts[i - 1] for i in u2_pos)
     for x in u2_pred:
         ix = pos[x]
-        for y in ctx.v_off:
+        for y in v_off:
             if g.has_edge(x, y):
                 seq = list(verts[: ix + 1]) + [y] + list(reversed(verts[ix + 1 :]))
                 return _finish_cycle(g, seq, verts)
-    v2_succ = sorted(verts[i + 1] for i in ctx.v2_pos)
+    v2_succ = sorted(verts[i + 1] for i in v2_pos)
     for x in u2_pred:
         ix = pos[x]
         for y in v2_succ:
@@ -147,23 +115,15 @@ def rotation_to_cycle(g: Graph, path, s: int, t: int) -> Cycle:
                 )
                 return _finish_cycle(g, seq, verts)
 
-    if logger.isEnabledFor(logging.DEBUG):
-        v1v2 = len(ctx.v_off) + len(ctx.v2_pos)
-        if v1v2 > t - 1 or len(ctx.v3_pos) < s:
-            logger.debug(
-                "rotation bookkeeping off: |V1 u V2|=%d, |V3|=%d, (s,t)=(%d,%d)",
-                v1v2, len(ctx.v3_pos), s, t,
-            )
-
     # Scan 3: successors of the early v-neighbors against the first vertex
     # and the shifted late u-neighbors.
-    v3_succ = sorted(verts[i + 1] for i in ctx.v3_pos)
+    v3_succ = sorted(verts[i + 1] for i in v3_pos)
     for x in v3_succ:
         ix = pos[x]
         if g.has_edge(x, u):
             seq = list(verts[:ix]) + list(reversed(verts[ix:]))
             return _finish_cycle(g, seq, verts)
-    u3_succ = sorted(verts[i + 1] for i in ctx.u3_pos)
+    u3_succ = sorted(verts[i + 1] for i in u3_pos)
     for x in v3_succ:
         ix = pos[x]
         for y in u3_succ:
@@ -223,37 +183,32 @@ def _cycle_through_heavy(g: Graph, cert: HoleCertificate) -> Cycle:
         seq = _cycle_through_pair(g, heavy[0], heavy[1])
     else:
         s, t = cert.hole_free_pair
-        # Closure: join nonadjacent heavy pairs, lexicographically smallest
-        # first, until the heavy set is a clique.
-        levels = [g]
-        added: list[tuple[int, int]] = []
-        current = g
-        while True:
-            pair = next(
-                (
-                    (a, b)
-                    for i, a in enumerate(heavy)
-                    for b in heavy[i + 1 :]
-                    if not current.has_edge(a, b)
-                ),
-                None,
-            )
-            if pair is None:
-                break
-            current = current.add_edge(*pair)
-            levels.append(current)
-            added.append(pair)
+        # Closure: join every nonadjacent heavy pair, so the heavy set is a
+        # clique; the pairs are added in lexicographic order.
+        added = [
+            (a, b)
+            for i, a in enumerate(heavy)
+            for b in heavy[i + 1 :]
+            if not g.has_edge(a, b)
+        ]
+        adj = [g.adj_mask(x) for x in range(g.n)]
+        for a, b in added:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        current = Graph._from_adj(g.n, adj)
         seq = list(heavy)  # clique cycle, ascending
-        # Unwind: if the cycle uses the edge added at this level, open it
-        # into a path and rotate in the one-thinner graph; otherwise the
+        # Unwind the added edges, last first: if the cycle uses the edge, open
+        # it into a path and rotate in the one-thinner graph; otherwise the
         # cycle already lives there.
-        for level in range(len(added), 0, -1):
-            a, b = added[level - 1]
-            thinner = levels[level - 1]
-            cyc = Cycle(levels[level], seq)
+        for a, b in reversed(added):
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
+            thinner = Graph._from_adj(g.n, adj)
+            cyc = Cycle(current, seq)
             if cyc.uses_edge(a, b):
                 path_seq = cyc.open_at(a, b).vertices
                 seq = list(rotation_to_cycle(thinner, OrientedPath(thinner, path_seq), s, t).vertices)
+            current = thinner
 
     cyc = Cycle(g, seq)
     if not verify_heavy_cycle(g, cyc, threshold):

@@ -127,42 +127,32 @@ class Graph:
             raise GraphError("vertex outside graph")
         return frozenset(iter_bits(self.closed_neighborhood_mask(mask)))
 
-    def distances_from(self, v: int):
-        """BFS distances from v; unreachable entries are INFINITY."""
-        dist: list[float] = [INFINITY] * self.n
-        dist[v] = 0
-        seen = frontier = 1 << v
-        d = 0
+    def layers(self, sources: int) -> Iterator[int]:
+        """Breadth-first layers around a vertex mask: ``sources`` first, then
+        each next layer of unseen vertices, until none is left."""
+        seen = frontier = sources
         while frontier:
+            yield frontier
             nxt = 0
             for b in iter_bits(frontier):
                 nxt |= self._adj[b]
-            nxt &= ~seen
-            seen |= nxt
-            d += 1
-            for b in iter_bits(nxt):
+            frontier = nxt & ~seen
+            seen |= frontier
+
+    def distances_from(self, v: int):
+        """BFS distances from v; unreachable entries are INFINITY."""
+        dist: list[float] = [INFINITY] * self.n
+        for d, layer in enumerate(self.layers(1 << v)):
+            for b in iter_bits(layer):
                 dist[b] = d
-            frontier = nxt
         return dist
 
     def distance(self, u: int, v: int):
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise GraphError("vertex outside graph")
-        if u == v:
-            return 0
-        seen = frontier = 1 << u
-        target = 1 << v
-        d = 0
-        while frontier:
-            nxt = 0
-            for b in iter_bits(frontier):
-                nxt |= self._adj[b]
-            nxt &= ~seen
-            if nxt & target:
-                return d + 1
-            seen |= nxt
-            frontier = nxt
-            d += 1
+        for d, layer in enumerate(self.layers(1 << u)):
+            if layer >> v & 1:
+                return d
         return INFINITY
 
     def vertices_at_distance(self, v: int, i: int) -> frozenset[int]:
@@ -175,17 +165,8 @@ class Graph:
     # -- connectivity -----------------------------------------------------
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = frontier = 1
-        while frontier:
-            nxt = 0
-            for b in iter_bits(frontier):
-                nxt |= self._adj[b]
-            nxt &= ~seen
-            seen |= nxt
-            frontier = nxt
-        return seen == (1 << self.n) - 1
+        # The layers are disjoint, so their sizes add up to the component's.
+        return self.n == 0 or sum(m.bit_count() for m in self.layers(1)) == self.n
 
     def cut_vertices(self) -> frozenset[int]:
         """Articulation points via iterative DFS lowpoints."""

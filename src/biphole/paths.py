@@ -300,17 +300,11 @@ def build_context(g: Graph, path: OrientedPath, heavy_mask: int, s: int) -> Augm
     whole path that holds a missing heavy vertex; when none is reachable it
     is the lowest missing id, and the connector search reports it.
     """
-    seen = frontier = mask_of(path.vertices)
-    missing = heavy_mask & ~seen
+    on_mask = mask_of(path.vertices)
+    missing = heavy_mask & ~on_mask
     if not missing:
         raise ValueError("no heavy vertex off the path")
-    while frontier and not frontier & missing:
-        nxt = 0
-        for b in iter_bits(frontier):
-            nxt |= g.adj_mask(b)
-        frontier = nxt & ~seen
-        seen |= frontier
-    hit = frontier & missing or missing
+    hit = next((m & missing for m in g.layers(on_mask) if m & missing), missing)
     w = (hit & -hit).bit_length() - 1
     connector = _shortest_connector(g, path, w)
     if connector is None:
@@ -406,27 +400,12 @@ def _heavy_path(g: Graph, u: int, v: int, cert: HoleCertificate) -> OrientedPath
             f"endpoints need degree >= {threshold}; got "
             f"d({u}) = {g.degree(u)}, d({v}) = {g.degree(v)}"
         )
-    heavy_mask = 0
-    for x in range(g.n):
-        if g.degree(x) >= threshold:
-            heavy_mask |= 1 << x
-    frontier = {u}
-    seen = {u}
-    while frontier:
-        nxt = set()
-        for a in frontier:
-            for b in g.neighbors(a):
-                if b not in seen:
-                    seen.add(b)
-                    nxt.add(b)
-        frontier = nxt
-    comp_mask = 0
-    for x in seen:
-        comp_mask |= 1 << x
+    heavy_mask = mask_of(x for x in range(g.n) if g.degree(x) >= threshold)
+    comp_mask = sum(g.layers(1 << u))  # disjoint layers: the sum is the union
     if not comp_mask >> v & 1:
         raise DisconnectedError(f"{u} and {v} lie in different components")
     if heavy_mask & ~comp_mask:
-        outside = [x for x in iter_bits(heavy_mask & ~comp_mask)]
+        outside = list(iter_bits(heavy_mask & ~comp_mask))
         raise DisconnectedError(
             f"heavy vertices {outside} unreachable from the endpoints"
         )
@@ -439,10 +418,7 @@ def _heavy_path(g: Graph, u: int, v: int, cert: HoleCertificate) -> OrientedPath
     s = cert.hole_free_pair[0]
     path = initial_path(g, u, v)
     for _ in range(heavy_mask.bit_count() + 1):
-        on = set(path.vertices)
-        if not any(
-            heavy_mask >> x & 1 and x not in on for x in range(g.n)
-        ):
+        if not heavy_mask & ~mask_of(path.vertices):
             break
         ctx = build_context(g, path, heavy_mask, s)
         path = augment_once(g, ctx)

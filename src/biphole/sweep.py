@@ -244,68 +244,54 @@ def _run_batch(task) -> SweepResult:
     return result
 
 
-def _finalize(result: SweepResult) -> SweepResult:
-    result.failures.sort(
-        key=lambda r: (r["property"], r["graph6"], r.get("detail", ""))
-    )
-    return result
-
-
 def run_enumerated(
     n: int, properties: list[str], jobs: int = 1, allow_large: bool = False
 ) -> SweepResult:
     """Sweep all labeled graphs on exactly n vertices."""
-    for name in properties:
-        if name not in PROPERTIES:
-            raise UnknownNameError("property", name, property_names())
-    total = 1 << (n * (n - 1) // 2)
-    jobs = _clamp_jobs(jobs)
-    if jobs <= 1:
-        result = SweepResult()
-        for g in enumerate_labeled(n, allow_large=allow_large):
-            result.merge(check_graph(g, properties))
-        return _finalize(result)
-    next(enumerate_labeled(n, allow_large=allow_large))  # gate check
-    chunk = max(1, total // (jobs * 8))
-    tasks = [
-        ("enum", (n, lo, min(lo + chunk, total)), properties)
-        for lo in range(0, total, chunk)
-    ]
-    return _run_tasks(tasks, jobs)
+    return _run(
+        properties,
+        jobs,
+        enumerate_labeled(n, allow_large=allow_large),
+        1 << (n * (n - 1) // 2),
+        lambda lo, hi: ("enum", (n, lo, hi), properties),
+    )
 
 
 def run_graph6_lines(
     lines: list[str], properties: list[str], jobs: int = 1
 ) -> SweepResult:
+    return _run(
+        properties,
+        jobs,
+        (parse_graph6(line) for line in lines),
+        len(lines),
+        lambda lo, hi: ("g6", lines[lo:hi], properties),
+    )
+
+
+def _run(properties, jobs: int, graphs, total: int, task) -> SweepResult:
+    """Sweep ``graphs`` in this process, or hand the chunks ``task(lo, hi)``
+    of the source's ``total`` graphs to at most one worker per CPU; the
+    chunk size follows the clamped job count."""
     for name in properties:
         if name not in PROPERTIES:
             raise UnknownNameError("property", name, property_names())
-    jobs = _clamp_jobs(jobs)
-    if jobs <= 1:
-        result = SweepResult()
-        for line in lines:
-            result.merge(check_graph(parse_graph6(line), properties))
-        return _finalize(result)
-    chunk = max(1, len(lines) // (jobs * 8))
-    tasks = [
-        ("g6", lines[i : i + chunk], properties)
-        for i in range(0, len(lines), chunk)
-    ]
-    return _run_tasks(tasks, jobs)
-
-
-def _clamp_jobs(jobs: int) -> int:
-    """At most one worker per CPU; chunk sizes are computed from this."""
-    return min(jobs, os.cpu_count() or 1)
-
-
-def _run_tasks(tasks, jobs: int) -> SweepResult:
-    ctx = multiprocessing.get_context("fork")
+    jobs = min(jobs, os.cpu_count() or 1)
     result = SweepResult()
-    with ctx.Pool(processes=jobs) as pool:
-        for part in pool.imap_unordered(_run_batch, tasks):
-            result.merge(part)
-    return _finalize(result)
+    if jobs <= 1:
+        for g in graphs:
+            result.merge(check_graph(g, properties))
+    else:
+        next(graphs, None)  # an enumeration's order gate raises here
+        chunk = max(1, total // (jobs * 8))
+        tasks = [task(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+        with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
+            for part in pool.imap_unordered(_run_batch, tasks):
+                result.merge(part)
+    result.failures.sort(
+        key=lambda r: (r["property"], r["graph6"], r.get("detail", ""))
+    )
+    return result
 
 
 def random_corpus(count: int, n: int, p_num: int, p_den: int, seed: int) -> list[str]:

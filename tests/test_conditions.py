@@ -69,6 +69,21 @@ def test_alpha2():
         alpha2(complete(4), 0, 1)
 
 
+@given(graphs(min_n=1, max_n=9))
+@settings(max_examples=150, deadline=None)
+def test_alpha2_matches_induced_subgraph_on_bfs_rows(g):
+    # The reference: N2 from BFS distance rows, alpha on the induced subgraph.
+    rows = [g.distances_from(x) for x in range(g.n)]
+    for x, y in combinations(range(g.n), 2):
+        if rows[x][y] != 2:
+            with pytest.raises(ValueError):
+                alpha2(g, x, y)
+            continue
+        shared = [v for v in range(g.n) if rows[x][v] == 2 and rows[y][v] == 2]
+        expected = independence_number(g.induced_subgraph(shared)[0]) if shared else 0
+        assert alpha2(g, x, y) == expected
+
+
 def test_fan_type():
     assert check_fan_type(complete(4)).holds  # no distance-2 pairs at all
     rep = check_fan_type(cycle(5))

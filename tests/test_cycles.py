@@ -66,6 +66,44 @@ def test_rotation_scan_three_closes():
     assert cycle_through_heavy(g).vertices == (0, 6, 2, 5, 3, 4, 1)
 
 
+@pytest.mark.parametrize(
+    "g6, closure, path_seq, split, expected",
+    [
+        # 1a: an off-path u-neighbor joined to an off-path v-neighbor; the
+        # cycle is the path plus both.
+        ("FF]iG", [], [3, 4, 5], (2, 3), (3, 4, 5, 6, 1)),
+        # 1b: an off-path u-neighbor joined to the successor of an on-path
+        # v-neighbor.
+        ("D^o", [], [0, 3, 2, 1], (1, 3), (0, 3, 2, 1, 4)),
+        # 2a: the predecessor of an early u-neighbor joined to an off-path
+        # v-neighbor.
+        ("Edv_", [(1, 3), (3, 5)], [4, 3, 1, 0, 5], (2, 2), (4, 3, 2, 5, 0, 1)),
+        # 2b: the predecessor of an early u-neighbor joined to the successor
+        # of a late v-neighbor.
+        ("C]", [(0, 1)], [2, 1, 0, 3], (1, 2), (2, 0, 3, 1)),
+    ],
+    ids=["1a", "1b", "2a", "2b"],
+)
+def test_rotation_scans_one_and_two_close(monkeypatch, g6, closure, path_seq, split, expected):
+    # The unwind makes exactly one rotation, in g plus the closure edges
+    # still in place, and the named scan closes it.
+    g = parse_graph6(g6)
+    thinner = g
+    for a, b in closure:
+        thinner = thinner.add_edge(a, b)
+    assert rotation_to_cycle(thinner, path_seq, *split).vertices == expected
+    calls = []
+    real = cycles_mod.rotation_to_cycle
+
+    def recording(h, p, s, t):
+        calls.append((h, p.vertices, s, t))
+        return real(h, p, s, t)
+
+    monkeypatch.setattr(cycles_mod, "rotation_to_cycle", recording)
+    assert cycle_through_heavy(g).vertices == expected
+    assert calls == [(thinner, tuple(path_seq), *split)]
+
+
 def test_rotation_inconsistency_on_wrong_split():
     # A plain 4-path has no cycle at all, so any split must dead-end.
     g = path(4)

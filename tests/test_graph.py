@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphole import Graph, GraphError, NotTwoConnectedError
 from biphole import complete, cycle, empty, path, petersen
@@ -172,3 +173,39 @@ def test_two_disjoint_paths_validity(g):
             assert all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
             assert len(set(p)) == len(p)
         assert set(p1[1:-1]) & set(p2[1:-1]) == set()
+
+
+def _reference_layers(g, sources):
+    # The frontier loop that distances_from ran before Graph.layers.
+    out = []
+    seen = frontier = sources
+    while frontier:
+        out.append(frontier)
+        nxt = 0
+        for b in range(g.n):
+            if frontier >> b & 1:
+                nxt |= g.adj_mask(b)
+        nxt &= ~seen
+        seen |= nxt
+        frontier = nxt
+    return out
+
+
+@given(graphs(min_n=1, max_n=9), st.integers(min_value=0))
+@settings(max_examples=150, deadline=None)
+def test_layers_match_frontier_loop(g, sources):
+    sources &= (1 << g.n) - 1
+    assert list(g.layers(sources)) == _reference_layers(g, sources)
+    reach = 0
+    for v in range(g.n):
+        rows = _reference_layers(g, 1 << v)
+        dist = [math.inf] * g.n
+        for d, layer in enumerate(rows):
+            for b in range(g.n):
+                if layer >> b & 1:
+                    dist[b] = d
+        assert g.distances_from(v) == dist
+        assert [g.distance(v, x) for x in range(g.n)] == dist
+        if v == 0:
+            reach = sum(rows)
+    assert g.is_connected() == (reach == (1 << g.n) - 1)
