@@ -143,7 +143,8 @@ def rotation_to_cycle(g: Graph, path, s: int, t: int) -> Cycle:
 
 
 def _cycle_through_pair(g: Graph, a: int, b: int) -> list[int]:
-    p1, p2 = g.two_disjoint_paths(a, b)
+    """A cycle through a and b; g is 2-connected."""
+    p1, p2 = g._two_disjoint_paths(a, b)
     return p1 + p2[-2:0:-1]
 
 
@@ -195,20 +196,18 @@ def _cycle_through_heavy(g: Graph, cert: HoleCertificate) -> Cycle:
         for a, b in added:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-        current = Graph._from_adj(g.n, adj)
-        seq = list(heavy)  # clique cycle, ascending
+        cyc = Cycle(Graph._from_adj(g.n, adj), heavy)  # clique cycle, ascending
         # Unwind the added edges, last first: if the cycle uses the edge, open
         # it into a path and rotate in the one-thinner graph; otherwise the
         # cycle already lives there.
         for a, b in reversed(added):
             adj[a] ^= 1 << b
             adj[b] ^= 1 << a
-            thinner = Graph._from_adj(g.n, adj)
-            cyc = Cycle(current, seq)
             if cyc.uses_edge(a, b):
-                path_seq = cyc.open_at(a, b).vertices
-                seq = list(rotation_to_cycle(thinner, OrientedPath(thinner, path_seq), s, t).vertices)
-            current = thinner
+                thinner = Graph._from_adj(g.n, adj)
+                path = OrientedPath(thinner, cyc.open_at(a, b).vertices)
+                cyc = rotation_to_cycle(thinner, path, s, t)
+        seq = cyc.vertices
 
     cyc = Cycle(g, seq)
     if not verify_heavy_cycle(g, cyc, threshold):

@@ -266,6 +266,11 @@ class Graph:
             raise NotTwoConnectedError(
                 "two_disjoint_paths requires a 2-connected graph"
             )
+        return self._two_disjoint_paths(x, y)
+
+    def _two_disjoint_paths(self, x: int, y: int) -> tuple[list[int], list[int]]:
+        """The body of ``two_disjoint_paths``, for distinct x, y in a graph
+        already known to be 2-connected."""
         # Node split: in(v) = 2v, out(v) = 2v + 1.
         cap: dict[tuple[int, int], int] = {}
         nbrs: dict[int, list[int]] = {}

@@ -6,7 +6,16 @@ least k such that some split s + t = k + 1 (s, t >= 1) admits no such hole.
 
 Key reduction: an (s,t)-hole exists iff some s-set S has |N[S]| <= n - t,
 because T must avoid S and all its neighbors.  Enumeration is lexicographic
-over the smaller side, so witnesses are deterministic.
+over the smaller side, so witnesses are deterministic: S is the first s-set
+that fits, T the first t vertices outside N[S].
+
+The certificate search ascends the levels k + 1 = 2, 3, ... with one
+lexicographic cursor per s.  From one level to the next t = k + 1 - s grows
+and the limit n - t falls, so the first fitting s-set can only move forward:
+each split resumes where its s last stopped, a cursor whose set still fits
+is not advanced, and no s-set is scanned twice in one certificate.  The
+holes found one level below are the lower-bound witnesses, with the sides
+swapped for s' > k/2.
 
 Watch the vacuous case: when s + t > n no hole can exist, so the number of
 an edgeless graph on n vertices is n, and a single vertex gives 1.
@@ -16,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InternalInconsistencyError, SizeGuardError
+from .errors import SizeGuardError
 from .graph import Graph, mask_of
 
 NAIVE_LIMIT = 14
@@ -80,6 +89,46 @@ def min_closed_neighborhood(g: Graph, s: int) -> tuple[int, frozenset[int]]:
     return best, frozenset(best_set)
 
 
+class _Cursor:
+    """A lexicographic scan of the s-subsets for the first S with |N[S]| at
+    most a limit.  Successive limits must not rise, so the first fitting set
+    only moves forward and each ``seek`` resumes where the last one stopped."""
+
+    __slots__ = ("_closed", "_subsets", "subset", "mask")
+
+    def __init__(self, closed: list[int], s: int):
+        self._closed = closed
+        self._subsets = combinations(range(len(closed)), s)
+        self.subset: tuple[int, ...] | None = None
+        self.mask = 0
+
+    def seek(self, limit: int) -> bool:
+        """Stop at the first s-set S with |N[S]| <= limit; False if none is left."""
+        if self.subset is not None and self.mask.bit_count() <= limit:
+            return True
+        closed = self._closed
+        for subset in self._subsets:
+            m = 0
+            for v in subset:
+                m |= closed[v]
+            if m.bit_count() <= limit:
+                self.subset, self.mask = subset, m
+                return True
+        self.subset = None
+        return False
+
+
+def _witness(n: int, subset: tuple[int, ...], mask: int, t: int) -> HoleWitness:
+    """S = ``subset`` with closed neighbourhood ``mask``; T = the first t
+    vertices outside it."""
+    free = [v for v in range(n) if not (mask >> v & 1)]
+    return HoleWitness(frozenset(subset), frozenset(free[:t]))
+
+
+def _closed_masks(g: Graph) -> list[int]:
+    return [g.adj_mask(v) | (1 << v) for v in range(g.n)]
+
+
 def find_hole(g: Graph, s: int, t: int) -> HoleWitness | None:
     """A validated (s,t)-hole witness, or None.
 
@@ -94,16 +143,10 @@ def find_hole(g: Graph, s: int, t: int) -> HoleWitness | None:
     n = g.n
     if s + t > n:
         return None
-    closed = [g.adj_mask(v) | (1 << v) for v in range(n)]
-    limit = n - t
-    for subset in combinations(range(n), s):
-        m = 0
-        for v in subset:
-            m |= closed[v]
-        if m.bit_count() <= limit:
-            free = [v for v in range(n) if not (m >> v & 1)]
-            return HoleWitness(frozenset(subset), frozenset(free[:t]))
-    return None
+    cursor = _Cursor(_closed_masks(g), s)
+    if not cursor.seek(n - t):
+        return None
+    return _witness(n, cursor.subset, cursor.mask, t)
 
 
 def has_hole(g: Graph, s: int, t: int) -> bool:
@@ -115,27 +158,39 @@ def bipartite_hole_number(g: Graph) -> HoleCertificate:
 
     Within a level, splits are tried with increasing s, so the recorded
     hole-free pair has the smallest s (and s <= t), which is what the
-    constructive cycle and path routines consume.
+    constructive cycle and path routines consume.  One cursor per s serves
+    every level, and the witnesses are the holes of the level below (see
+    the module docstring).
     """
-    if g.n < 1:
+    n = g.n
+    if n < 1:
         raise ValueError("graph must have at least one vertex")
+    closed = _closed_masks(g)
+    cursors: list[_Cursor] = []
+    below: list[tuple[tuple[int, ...], int]] = []  # level k's holes, by s
     k = 0
     while True:
         k += 1
         level = k + 1
+        holes = []
         for s in range(1, level // 2 + 1):
             t = level - s
-            if find_hole(g, s, t) is None:
-                witnesses = []
-                for sp in range(1, k):
-                    w = find_hole(g, sp, k - sp)
-                    if w is None:
-                        raise InternalInconsistencyError(
-                            f"level {k} should be fully holed but ({sp},{k - sp}) is not"
-                        )
-                    witnesses.append(w)
-                return HoleCertificate(k, (s, t), tuple(witnesses))
+            if s + t <= n:
+                if s > len(cursors):
+                    cursors.append(_Cursor(closed, s))
+                cursor = cursors[s - 1]
+                if cursor.seek(n - t):
+                    holes.append((cursor.subset, cursor.mask))
+                    continue
+            witnesses = tuple(
+                _witness(n, *below[sp - 1], k - sp)
+                if 2 * sp <= k
+                else _witness(n, *below[k - sp - 1], sp).swapped()
+                for sp in range(1, k)
+            )
+            return HoleCertificate(k, (s, t), witnesses)
         # every split of k+1 has a hole; ascend
+        below = holes
 
 
 def validate_certificate(g: Graph, cert: HoleCertificate) -> bool:
@@ -194,12 +249,5 @@ def naive_hole_number(g: Graph, max_n: int | None = None) -> int:
 
 
 def hole_number(g: Graph) -> int:
-    """Just the value, without building a certificate's witnesses."""
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    k = 0
-    while True:
-        k += 1
-        for s in range(1, (k + 1) // 2 + 1):
-            if find_hole(g, s, k + 1 - s) is None:
-                return k
+    """Just the value of ``bipartite_hole_number``."""
+    return bipartite_hole_number(g).value

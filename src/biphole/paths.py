@@ -25,6 +25,7 @@ from .errors import (
     DegreeConditionError,
     DisconnectedError,
     InternalInconsistencyError,
+    WalkError,
 )
 from .graph import Graph, iter_bits, mask_of
 from .holes import HoleCertificate, bipartite_hole_number
@@ -121,13 +122,14 @@ def _accept(g: Graph, before: OrientedPath, heavy_mask: int, seq: list[int]) -> 
     """Validate a candidate: real path, same endpoints, strictly more heavy."""
     if not seq or seq[0] != before.first or seq[-1] != before.last:
         return None
-    if not is_path_sequence(g, seq):
-        return None
     gained = sum(1 for x in set(seq) if heavy_mask >> x & 1)
     had = sum(1 for x in before.vertices if heavy_mask >> x & 1)
     if gained <= had:
         return None
-    return OrientedPath(g, seq)
+    try:
+        return OrientedPath(g, seq)
+    except WalkError:
+        return None
 
 
 # -- template groups ---------------------------------------------------------

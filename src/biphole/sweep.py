@@ -4,8 +4,9 @@ certificate validity, format round-trips.
 Each property takes a graph and its ``GraphFacts`` and returns None when it
 does not apply, or a list of failure records (empty meaning pass).  The
 facts are computed at most once per graph and shared by every property, so
-a sweep builds each graph's certificate once; ``alpha-oracle`` checks that
-shared certificate against the naive search.  The runner walks a graph
+a sweep builds each graph's certificate, heavy cycle, heavy path per pair
+and Hamiltonicity oracle once; ``alpha-oracle`` checks that shared
+certificate against the naive search.  The runner walks a graph
 source, optionally fanning out over worker processes, and aggregates a
 deterministic summary; every failure carries the offending graph6 line so it
 can be replayed.
@@ -31,14 +32,17 @@ from .holes import (
 )
 from .oracle import brute_hamiltonian, brute_hamiltonian_connected
 from .paths import _heavy_path, verify_heavy_path
+from .walks import Cycle, OrientedPath
 
 
 class GraphFacts:
     """Per-graph analysis shared by the properties; each field is computed
-    on first read only."""
+    on first read only.  A construction is kept with the error it raised,
+    so every property that reads it reports that error as its own."""
 
     def __init__(self, g: Graph):
         self.graph = g
+        self._paths: dict[tuple[int, int], OrientedPath | BipholeError] = {}
 
     @cached_property
     def cert(self) -> HoleCertificate:
@@ -47,6 +51,32 @@ class GraphFacts:
     @cached_property
     def two_connected(self) -> bool:
         return self.graph.is_two_connected()
+
+    @cached_property
+    def hamiltonian(self) -> bool:
+        return brute_hamiltonian(self.graph)
+
+    @cached_property
+    def heavy_cycle(self) -> Cycle | BipholeError:
+        """The cycle construction, or its error."""
+        try:
+            _require_two_connected(self.two_connected)
+            return _cycle_through_heavy(self.graph, self.cert)
+        except BipholeError as exc:
+            return exc
+
+    def heavy_path(self, u: int, v: int) -> OrientedPath | BipholeError:
+        """The (u, v) path construction, or its error."""
+        if (u, v) not in self._paths:
+            try:
+                self._paths[u, v] = _heavy_path(self.graph, u, v, self.cert)
+            except BipholeError as exc:
+                self._paths[u, v] = exc
+        return self._paths[u, v]
+
+
+def _raised(exc: BipholeError) -> str:
+    return f"raised {type(exc).__name__}: {exc}"
 
 
 def _prop_alpha_oracle(g: Graph, facts: GraphFacts):
@@ -69,10 +99,9 @@ def _prop_heavy_cycle(g: Graph, facts: GraphFacts):
     if not facts.two_connected:
         return None
     threshold = facts.cert.value
-    try:
-        cyc = _cycle_through_heavy(g, facts.cert)
-    except BipholeError as exc:
-        return [{"detail": f"construction raised {type(exc).__name__}: {exc}"}]
+    cyc = facts.heavy_cycle
+    if isinstance(cyc, BipholeError):
+        return [{"detail": "construction " + _raised(cyc)}]
     if not verify_heavy_cycle(g, cyc, threshold):
         return [{"detail": "cycle failed verification"}]
     return []
@@ -91,14 +120,10 @@ def _prop_heavy_path(g: Graph, facts: GraphFacts):
             if g.degree(v) < threshold:
                 continue
             ran = True
-            try:
-                p = _heavy_path(g, u, v, facts.cert)
-            except BipholeError as exc:
-                failures.append(
-                    {"detail": f"({u},{v}) raised {type(exc).__name__}: {exc}"}
-                )
-                continue
-            if not verify_heavy_path(g, p, u, v, threshold):
+            p = facts.heavy_path(u, v)
+            if isinstance(p, BipholeError):
+                failures.append({"detail": f"({u},{v}) " + _raised(p)})
+            elif not verify_heavy_path(g, p, u, v, threshold):
                 failures.append({"detail": f"({u},{v}) failed verification"})
     return failures if ran else None
 
@@ -109,16 +134,14 @@ def _prop_min_degree_ham(g: Graph, facts: GraphFacts):
     if g.min_degree() < facts.cert.value:
         return None
     failures = []
-    try:
-        _require_two_connected(facts.two_connected)
-        cyc = _cycle_through_heavy(g, facts.cert)
-        if len(cyc) != g.n:
-            failures.append(
-                {"detail": f"expected Hamilton cycle, got length {len(cyc)}"}
-            )
-    except BipholeError as exc:
-        failures.append({"detail": f"construction raised {type(exc).__name__}: {exc}"})
-    if not brute_hamiltonian(g):
+    cyc = facts.heavy_cycle
+    if isinstance(cyc, BipholeError):
+        failures.append({"detail": "construction " + _raised(cyc)})
+    elif len(cyc) != g.n:
+        failures.append(
+            {"detail": f"expected Hamilton cycle, got length {len(cyc)}"}
+        )
+    if not facts.hamiltonian:
         failures.append({"detail": "oracle says non-hamiltonian"})
     return failures
 
@@ -131,16 +154,11 @@ def _prop_min_degree_hc(g: Graph, facts: GraphFacts):
     failures = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            try:
-                p = _heavy_path(g, u, v, facts.cert)
-                if len(p) != g.n:
-                    failures.append(
-                        {"detail": f"({u},{v}): not a Hamilton path"}
-                    )
-            except BipholeError as exc:
-                failures.append(
-                    {"detail": f"({u},{v}) raised {type(exc).__name__}: {exc}"}
-                )
+            p = facts.heavy_path(u, v)
+            if isinstance(p, BipholeError):
+                failures.append({"detail": f"({u},{v}) " + _raised(p)})
+            elif len(p) != g.n:
+                failures.append({"detail": f"({u},{v}): not a Hamilton path"})
     if not brute_hamiltonian_connected(g):
         failures.append({"detail": "oracle says not hamiltonian-connected"})
     return failures
@@ -151,9 +169,9 @@ def _prop_fan_ham(g: Graph, facts: GraphFacts):
         return None
     at = facts.cert.value
     failures = []
-    if check_fan_type(g, at).holds and not brute_hamiltonian(g):
+    if check_fan_type(g, at).holds and not facts.hamiltonian:
         failures.append({"detail": "fan-type condition holds but graph is not hamiltonian"})
-    if check_liu_yuan_zhang(g, at).holds and not brute_hamiltonian(g):
+    if check_liu_yuan_zhang(g, at).holds and not facts.hamiltonian:
         failures.append({"detail": "distance-two degree condition holds but graph is not hamiltonian"})
     return failures
 
@@ -208,8 +226,13 @@ class SweepResult:
         self.failures.extend(other.failures)
 
 
-def check_graph(g: Graph, properties: list[str]) -> SweepResult:
-    result = SweepResult()
+def check_graph(
+    g: Graph, properties: list[str], result: SweepResult | None = None
+) -> SweepResult:
+    """Run the properties on g, adding the outcomes into ``result`` (a new
+    one when None), which is returned."""
+    if result is None:
+        result = SweepResult()
     facts = GraphFacts(g)
     g6 = None
     for name in properties:
@@ -240,7 +263,7 @@ def _run_batch(task) -> SweepResult:
         # run_enumerated has already applied the caller's order gate.
         graphs = enumerate_labeled(n, allow_large=True, masks=range(lo, hi))
     for g in graphs:
-        result.merge(check_graph(g, properties))
+        check_graph(g, properties, result)
     return result
 
 
@@ -280,7 +303,7 @@ def _run(properties, jobs: int, graphs, total: int, task) -> SweepResult:
     result = SweepResult()
     if jobs <= 1:
         for g in graphs:
-            result.merge(check_graph(g, properties))
+            check_graph(g, properties, result)
     else:
         next(graphs, None)  # an enumeration's order gate raises here
         chunk = max(1, total // (jobs * 8))

@@ -1,11 +1,14 @@
 """Hole search and the hole-number, anchored to the naive double enumeration."""
 import dataclasses
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
+import biphole.holes as holes_mod
 from biphole import (
+    HoleCertificate,
     HoleWitness,
     SizeGuardError,
     bipartite_hole_number,
@@ -24,6 +27,8 @@ from biphole import (
     petersen,
     validate_certificate,
 )
+
+from biphole.graph import mask_of
 
 from conftest import graphs, seeded_graphs
 
@@ -165,3 +170,60 @@ def test_range_and_independence_bound(g):
 def test_random_agreement_with_naive():
     for g in seeded_graphs(60, 9, seed=5):
         assert hole_number(g) == naive_hole_number(g)
+
+
+def _reference_find_hole(g, s, t):
+    """One fresh lexicographic scan over the smaller side."""
+    if s > t:
+        w = _reference_find_hole(g, t, s)
+        return None if w is None else w.swapped()
+    if s + t > g.n:
+        return None
+    for subset in combinations(range(g.n), s):
+        closed = g.closed_neighborhood_mask(mask_of(subset))
+        if closed.bit_count() <= g.n - t:
+            free = [v for v in range(g.n) if not closed >> v & 1]
+            return HoleWitness(frozenset(subset), frozenset(free[:t]))
+    return None
+
+
+def _reference_certificate(g):
+    """The ascent without cursors: a fresh scan for every split of every
+    level, then a fresh search for each level witness."""
+    k = 0
+    while True:
+        k += 1
+        for s in range(1, (k + 1) // 2 + 1):
+            t = k + 1 - s
+            if _reference_find_hole(g, s, t) is None:
+                witnesses = tuple(_reference_find_hole(g, sp, k - sp) for sp in range(1, k))
+                return HoleCertificate(k, (s, t), witnesses)
+
+
+@given(graphs(min_n=1, max_n=9))
+@settings(max_examples=150, deadline=None)
+def test_cursor_ascent_matches_reference_ascent(g):
+    cert = bipartite_hole_number(g)
+    assert cert == _reference_certificate(g)
+    assert hole_number(g) == cert.value
+
+
+def test_cursor_ascent_matches_reference_on_seeded_graphs():
+    for g in seeded_graphs(60, 14, seed=11, min_n=7):
+        assert bipartite_hole_number(g) == _reference_certificate(g)
+
+
+def test_certificate_scans_each_subset_at_most_once(monkeypatch):
+    scanned = []
+    real = holes_mod.combinations
+
+    def recording(items, r):
+        for subset in real(items, r):
+            scanned.append(subset)
+            yield subset
+
+    monkeypatch.setattr(holes_mod, "combinations", recording)
+    for g in [petersen(), cycle(9), erdos_renyi(14, 1, 4, 3), erdos_renyi(16, 1, 2, 5)]:
+        scanned.clear()
+        bipartite_hole_number(g)
+        assert scanned and len(scanned) == len(set(scanned))

@@ -133,6 +133,18 @@ def _counting(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
+def _recording(monkeypatch, owner, name, keys, arity):
+    """Record the first ``arity`` arguments of every call under ``name``."""
+    original = getattr(owner, name)
+    seen = keys.setdefault(name, [])
+
+    def recorded(*args):
+        seen.append(args[:arity])
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+
+
 def test_one_certificate_per_graph(monkeypatch):
     import biphole
     import biphole.conditions as conditions_mod
@@ -146,10 +158,20 @@ def test_one_certificate_per_graph(monkeypatch):
         _counting(monkeypatch, mod, "bipartite_hole_number", counts)
     for mod in (conditions_mod, holes_mod, biphole):
         _counting(monkeypatch, mod, "hole_number", counts)
+    # Each construction, oracle call and 2-connectivity test once per
+    # graph (per pair for paths), though several properties read them.
+    keys = {}
+    _recording(monkeypatch, sweep_mod, "_cycle_through_heavy", keys, 1)
+    _recording(monkeypatch, sweep_mod, "_heavy_path", keys, 3)
+    _recording(monkeypatch, sweep_mod, "brute_hamiltonian", keys, 1)
+    _recording(monkeypatch, biphole.Graph, "is_two_connected", keys, 1)
     result = run_enumerated(5, list(property_names()))
     assert result.ok
     assert result.checked["alpha-oracle"] == 1 << 10
     assert counts == {"bipartite_hole_number": 1 << 10}
+    assert result.checked["min-degree-ham"] and result.checked["min-degree-hc"]
+    for name, seen in keys.items():
+        assert seen and len(seen) == len(set(seen)), name
 
 
 def test_roundtrip_only_sweep_analyses_nothing(monkeypatch):
