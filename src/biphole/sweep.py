@@ -226,13 +226,8 @@ class SweepResult:
         self.failures.extend(other.failures)
 
 
-def check_graph(
-    g: Graph, properties: list[str], result: SweepResult | None = None
-) -> SweepResult:
-    """Run the properties on g, adding the outcomes into ``result`` (a new
-    one when None), which is returned."""
-    if result is None:
-        result = SweepResult()
+def check_graph(g: Graph, properties: list[str], result: SweepResult) -> None:
+    """Run the properties on g, adding the outcomes into ``result``."""
     facts = GraphFacts(g)
     g6 = None
     for name in properties:
@@ -250,7 +245,6 @@ def check_graph(
                 g6 = write_graph6(g)
             for record in outcome:
                 result.failures.append({"property": name, "graph6": g6, **record})
-    return result
 
 
 def _run_batch(task) -> SweepResult:

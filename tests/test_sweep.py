@@ -4,6 +4,7 @@ import pytest
 
 from biphole import UnknownNameError, complete, write_graph6
 from biphole.sweep import (
+    SweepResult,
     check_graph,
     property_names,
     random_corpus,
@@ -40,7 +41,7 @@ def test_unknown_property():
     with pytest.raises(UnknownNameError):
         run_enumerated(3, ["nope"])
     with pytest.raises(UnknownNameError):
-        check_graph(complete(3), ["nope"])
+        check_graph(complete(3), ["nope"], SweepResult())
 
 
 def test_property_names_stable():
