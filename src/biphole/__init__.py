@@ -35,7 +35,6 @@ from .errors import (
     WalkError,
 )
 from .formats import (
-    iter_graph6,
     parse_edge_list,
     parse_graph6,
     write_dot,
@@ -62,7 +61,6 @@ from .holes import (
     HoleWitness,
     bipartite_hole_number,
     find_hole,
-    has_hole,
     hole_number,
     min_closed_neighborhood,
     naive_hole_number,

@@ -203,16 +203,28 @@ def _cycle_through_heavy(g: Graph, cert: HoleCertificate) -> Cycle:
         for a, b in reversed(added):
             adj[a] ^= 1 << b
             adj[b] ^= 1 << a
-            if cyc.uses_edge(a, b):
+            opened = _open_at(cyc.vertices, a, b)
+            if opened is not None:
                 thinner = Graph._from_adj(g.n, adj)
-                path = OrientedPath(thinner, cyc.open_at(a, b).vertices)
-                cyc = rotation_to_cycle(thinner, path, s, t)
+                cyc = rotation_to_cycle(thinner, OrientedPath(thinner, opened), s, t)
         seq = cyc.vertices
 
     cyc = Cycle(g, seq)
     if not verify_heavy_cycle(g, cyc, threshold):
         raise InternalInconsistencyError("constructed cycle failed validation")
     return cyc
+
+
+def _open_at(verts: Sequence[int], a: int, b: int) -> list[int] | None:
+    """The cycle ``verts`` without its edge (a, b): the remaining path from a
+    to b, or None when the cycle does not use that edge."""
+    k = len(verts)
+    for i, x in enumerate(verts):
+        if {x, verts[(i + 1) % k]} == {a, b}:
+            # From one end of the edge round the cycle to the other.
+            seq = [*verts[i + 1 :], *verts[: i + 1]]
+            return seq if seq[0] == a else seq[::-1]
+    return None
 
 
 def verify_heavy_cycle(g: Graph, cycle, threshold: int) -> bool:

@@ -7,7 +7,7 @@ padding bits, and write(parse(s)) == s.  The edge-list format is a loose
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import GraphError, ParseError
 from .graph import MAX_VERTICES, Graph
@@ -82,7 +82,6 @@ def write_graph6(g: Graph) -> str:
         head = "~" + chr((n >> 12) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
     else:
         raise GraphError(f"order {n} exceeds the implemented graph6 size classes")
-    bits = 0
     out = [head]
     group = 0
     filled = 0
@@ -93,18 +92,9 @@ def write_graph6(g: Graph) -> str:
             out.append(chr(group + 63))
             group = 0
             filled = 0
-        bits += 1
     if filled:
         out.append(chr((group << (6 - filled)) + 63))
     return "".join(out)
-
-
-def iter_graph6(text: str) -> Iterator[Graph]:
-    """Parse every nonempty line of a graph6 document."""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line:
-            yield parse_graph6(line)
 
 
 def parse_edge_list(text: str, one_based: bool = False) -> Graph:

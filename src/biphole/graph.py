@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import GraphError, InternalInconsistencyError, NotTwoConnectedError
@@ -61,11 +60,6 @@ class Graph:
         self._degrees = tuple(m.bit_count() for m in adj)
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from unordered pairs; duplicate edges collapse."""
-        return cls(n, edges)
-
-    @classmethod
     def _from_adj(cls, n: int, adj: list[int]) -> "Graph":
         # Trusted fast path: caller guarantees symmetry, irreflexivity, range.
         g = object.__new__(cls)
@@ -87,10 +81,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self._degrees[v]
 
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return self._degrees
-
     def min_degree(self) -> int:
         return min(self._degrees) if self.n else 0
 
@@ -109,9 +99,6 @@ class Graph:
             for v in iter_bits(self._adj[u] >> (u + 1) << (u + 1)):
                 yield u, v
 
-    def is_complete(self) -> bool:
-        return self.m == self.n * (self.n - 1) // 2
-
     # -- neighborhoods and distances -------------------------------------
 
     def closed_neighborhood_mask(self, mask: int) -> int:
@@ -119,13 +106,6 @@ class Graph:
         for v in iter_bits(mask):
             out |= self._adj[v]
         return out
-
-    def closed_neighborhood(self, vertices: Iterable[int]) -> frozenset[int]:
-        """S together with every neighbor of a member of S."""
-        mask = mask_of(vertices)
-        if mask >> self.n:
-            raise GraphError("vertex outside graph")
-        return frozenset(iter_bits(self.closed_neighborhood_mask(mask)))
 
     def layers(self, sources: int) -> Iterator[int]:
         """Breadth-first layers around a vertex mask: ``sources`` first, then
@@ -344,8 +324,3 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def all_pairs(n: int) -> list[tuple[int, int]]:
-    """Vertex pairs (u, v), u < v, in lexicographic order."""
-    return list(combinations(range(n), 2))

@@ -25,10 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import SizeGuardError
 from .graph import Graph, mask_of
-
-NAIVE_LIMIT = 14
+from .oracle import _guard
 
 
 @dataclass(frozen=True)
@@ -149,10 +147,6 @@ def find_hole(g: Graph, s: int, t: int) -> HoleWitness | None:
     return _witness(n, cursor.subset, cursor.mask, t)
 
 
-def has_hole(g: Graph, s: int, t: int) -> bool:
-    return find_hole(g, s, t) is not None
-
-
 def bipartite_hole_number(g: Graph) -> HoleCertificate:
     """Exact value with certificate; search ascends k = 1, 2, ...
 
@@ -207,14 +201,6 @@ def validate_certificate(g: Graph, cert: HoleCertificate) -> bool:
         if w.sizes != (i + 1, k - i - 1) or not w.is_valid(g):
             return False
     return s > g.n or min_closed_neighborhood(g, s)[0] > g.n - t
-
-
-def _guard(g: Graph, max_n: int | None) -> None:
-    limit = NAIVE_LIMIT if max_n is None else max_n
-    if g.n > limit:
-        raise SizeGuardError(
-            f"naive enumeration guarded at n <= {limit}; got n = {g.n}"
-        )
 
 
 def naive_hole_oracle(g: Graph, s: int, t: int, max_n: int | None = None) -> HoleWitness | None:

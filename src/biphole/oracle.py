@@ -3,31 +3,21 @@
 Plain backtracking over vertex sequences with two safe prunes: every still
 required vertex must keep at least two usable neighbors, and everything we
 still owe must stay reachable.  A hard size guard raises instead of hanging;
-override per call or with the BIPHOLE_ORACLE_LIMIT environment variable.
+``max_n`` raises it per call.  The naive hole oracles in ``holes`` share the
+guard.
 """
 from __future__ import annotations
 
-import os
 from typing import Iterable
 
 from .errors import SizeGuardError
 from .graph import Graph, iter_bits, mask_of
 
 DEFAULT_LIMIT = 14
-_ENV_VAR = "BIPHOLE_ORACLE_LIMIT"
-
-
-def _limit(max_n: int | None) -> int:
-    if max_n is not None:
-        return max_n
-    env = os.environ.get(_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_LIMIT
 
 
 def _guard(g: Graph, max_n: int | None) -> None:
-    limit = _limit(max_n)
+    limit = DEFAULT_LIMIT if max_n is None else max_n
     if g.n > limit:
         raise SizeGuardError(f"oracle guarded at n <= {limit}; got n = {g.n}")
 

@@ -35,10 +35,6 @@ from .walks import OrientedPath, is_path_sequence
 DIAGNOSTICS: Counter = Counter()
 
 
-def reset_diagnostics() -> None:
-    DIAGNOSTICS.clear()
-
-
 def _chain(*parts) -> list[int]:
     """Concatenate vertex pieces, collapsing duplicates at the seams."""
     seq: list[int] = []

@@ -1,13 +1,12 @@
-"""Oriented paths and cycles with the navigation the rotation arguments need.
+"""Oriented paths and cycles, validated against their graph.
 
 An OrientedPath is a sequence of distinct, consecutively adjacent vertices
-with a fixed direction, supporting successor/predecessor lookups, shifted
-vertex sets, and segment extraction in both directions.  A Cycle additionally
+with a fixed direction, from ``first`` to ``last``.  A Cycle additionally
 closes up.  Both validate against their graph at construction time.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import WalkError
 from .graph import Graph
@@ -45,7 +44,7 @@ def is_cycle_sequence(g: Graph, vertices: Sequence[int]) -> bool:
 class OrientedPath:
     """A directed simple path; orientation runs from ``first`` to ``last``."""
 
-    __slots__ = ("graph", "vertices", "_pos")
+    __slots__ = ("graph", "vertices")
 
     def __init__(self, g: Graph, vertices: Sequence[int]):
         verts = _check_sequence(g, vertices, "path")
@@ -53,7 +52,6 @@ class OrientedPath:
             raise WalkError("path must contain at least one vertex")
         self.graph = g
         self.vertices = verts
-        self._pos = {v: i for i, v in enumerate(verts)}
 
     @property
     def first(self) -> int:
@@ -69,9 +67,6 @@ class OrientedPath:
     def __iter__(self):
         return iter(self.vertices)
 
-    def __contains__(self, v):
-        return v in self._pos
-
     def __eq__(self, other):
         return isinstance(other, OrientedPath) and self.vertices == other.vertices
 
@@ -80,47 +75,6 @@ class OrientedPath:
 
     def __repr__(self):
         return "OrientedPath(" + "-".join(map(str, self.vertices)) + ")"
-
-    def index(self, v: int) -> int:
-        return self._pos[v]
-
-    def succ(self, v: int) -> int:
-        i = self._pos[v]
-        if i == len(self.vertices) - 1:
-            raise WalkError(f"{v} is the last vertex; no successor")
-        return self.vertices[i + 1]
-
-    def pred(self, v: int) -> int:
-        i = self._pos[v]
-        if i == 0:
-            raise WalkError(f"{v} is the first vertex; no predecessor")
-        return self.vertices[i - 1]
-
-    def succ_set(self, vertices: Iterable[int]) -> set[int]:
-        """Shift a subset forward; the last vertex contributes nothing."""
-        last = self.vertices[-1]
-        return {self.succ(v) for v in vertices if v != last}
-
-    def pred_set(self, vertices: Iterable[int]) -> set[int]:
-        first = self.vertices[0]
-        return {self.pred(v) for v in vertices if v != first}
-
-    def seg(self, x: int, y: int) -> list[int]:
-        """Segment from x to y following the orientation."""
-        ix, iy = self._pos[x], self._pos[y]
-        if ix > iy:
-            raise WalkError(f"forward segment needs index({x}) <= index({y})")
-        return list(self.vertices[ix : iy + 1])
-
-    def seg_rev(self, x: int, y: int) -> list[int]:
-        """Segment starting at x and walking back to y, against orientation."""
-        ix, iy = self._pos[x], self._pos[y]
-        if ix < iy:
-            raise WalkError(f"backward segment needs index({x}) >= index({y})")
-        return list(reversed(self.vertices[iy : ix + 1]))
-
-    def interior(self) -> tuple[int, ...]:
-        return self.vertices[1:-1]
 
     def flip(self) -> "OrientedPath":
         return OrientedPath(self.graph, tuple(reversed(self.vertices)))
@@ -157,29 +111,3 @@ class Cycle:
 
     def __repr__(self):
         return "Cycle(" + "-".join(map(str, self.vertices)) + ")"
-
-    def uses_edge(self, u: int, v: int) -> bool:
-        """True if (u, v) is one of the cycle's edges."""
-        k = len(self.vertices)
-        for i, a in enumerate(self.vertices):
-            b = self.vertices[(i + 1) % k]
-            if {a, b} == {u, v}:
-                return True
-        return False
-
-    def open_at(self, u: int, v: int) -> OrientedPath:
-        """Drop cycle edge (u, v) and return the remaining (u, v)-path.
-
-        The path is rebuilt in the cycle's graph, so callers re-rooting it in
-        a subgraph must revalidate there.
-        """
-        verts = self.vertices
-        k = len(verts)
-        for i, a in enumerate(verts):
-            b = verts[(i + 1) % k]
-            if {a, b} == {u, v}:
-                seq = [verts[(i + 1 + j) % k] for j in range(k)]
-                if seq[0] != u:
-                    seq.reverse()
-                return OrientedPath(self.graph, seq)
-        raise WalkError(f"cycle does not use edge ({u},{v})")

@@ -1,17 +1,18 @@
 """Shared strategies and corpus helpers for the test suite."""
 from __future__ import annotations
 
+from itertools import combinations
+
 from hypothesis import strategies as st
 
 from biphole import Graph, erdos_renyi
-from biphole.graph import all_pairs
 
 
 @st.composite
 def graphs(draw, min_n=0, max_n=8):
     """Random labeled graph via an edge subset."""
     n = draw(st.integers(min_value=min_n, max_value=max_n))
-    pairs = all_pairs(n)
+    pairs = list(combinations(range(n), 2))
     picks = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
     return Graph(n, picks)
 

@@ -105,7 +105,7 @@ def test_heavy_cycle_soundness(exhaustive_small, random_two_connected_12):
 def test_heavy_path_soundness(exhaustive_small):
     """Every valid endpoint pair gets a verified path; no inconsistencies."""
     t0 = time.time()
-    paths_mod.reset_diagnostics()
+    paths_mod.DIAGNOSTICS.clear()
     graphs_checked = 0
     pairs_checked = 0
     for n in range(2, 7):

@@ -104,6 +104,17 @@ def test_rotation_scans_one_and_two_close(monkeypatch, g6, closure, path_seq, sp
     assert calls == [(thinner, tuple(path_seq), *split)]
 
 
+def test_open_at():
+    # Dropping a cycle edge leaves the path from its first named end to the
+    # other; an edge the cycle does not use gives None.
+    verts = (0, 1, 2, 3)
+    assert cycles_mod._open_at(verts, 0, 3) == [0, 1, 2, 3]
+    assert cycles_mod._open_at(verts, 3, 0) == [3, 2, 1, 0]
+    assert cycles_mod._open_at(verts, 1, 2) == [1, 0, 3, 2]
+    assert cycles_mod._open_at(verts, 2, 1) == [2, 3, 0, 1]
+    assert cycles_mod._open_at(verts, 0, 2) is None
+
+
 def test_rotation_inconsistency_on_wrong_split():
     # A plain 4-path has no cycle at all, so any split must dead-end.
     g = path(4)

@@ -21,9 +21,9 @@ def test_families():
     assert cycle(5).m == 5
     assert complete_bipartite(2, 3).m == 6
     assert theta(2, 2, 2) == complete_bipartite(2, 3)
-    assert star(4).degrees == (3, 1, 1, 1)
+    assert [star(4).degree(v) for v in range(4)] == [3, 1, 1, 1]
     assert petersen().n == 10 and petersen().m == 15
-    assert all(d == 3 for d in petersen().degrees)
+    assert all(petersen().degree(v) == 3 for v in range(10))
     assert path(1) == empty(1)
 
 

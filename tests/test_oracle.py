@@ -63,14 +63,6 @@ def test_size_guard():
     assert brute_hamiltonian(complete(15), max_n=15)
 
 
-def test_size_guard_env_override(monkeypatch):
-    monkeypatch.setenv("BIPHOLE_ORACLE_LIMIT", "15")
-    assert brute_hamiltonian(complete(15))
-    monkeypatch.setenv("BIPHOLE_ORACLE_LIMIT", "5")
-    with pytest.raises(SizeGuardError):
-        brute_hamiltonian(complete(6))
-
-
 @given(graphs(min_n=3, max_n=7))
 @settings(max_examples=120, deadline=None)
 def test_hamiltonian_iff_cycle_through_everything(g):

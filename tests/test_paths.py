@@ -216,7 +216,7 @@ def test_oracle_agreement():
 
 
 def test_diagnostics_stay_quiet_on_small_exhaustive():
-    paths_mod.reset_diagnostics()
+    paths_mod.DIAGNOSTICS.clear()
     for g in enumerate_labeled(5):
         if not g.is_connected():
             continue
