@@ -74,9 +74,7 @@ from .oracle import (
     brute_path_through_set,
 )
 from .paths import (
-    AugmentContext,
     augment_once,
-    build_context,
     heavy_path,
     initial_path,
     verify_heavy_path,

@@ -282,13 +282,9 @@ def main(argv=None) -> int:
     except DegreeConditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGREE
-    except (ParseError, GraphError, UnknownNameError, SizeGuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (
+        ParseError, GraphError, UnknownNameError, SizeGuardError, OSError, ValueError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BipholeError as exc:

@@ -12,13 +12,14 @@ import random
 from typing import Iterator
 
 from .errors import UnknownNameError
-from .graph import Graph
+from .graph import Graph, _check_order
 
 ENUMERATION_DEFAULT_GATE = 6
 ENUMERATION_HARD_GATE = 8
 
 
 def complete(n: int) -> Graph:
+    _check_order(n)
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
@@ -29,18 +30,21 @@ def empty(n: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
+    _check_order(n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
+    _check_order(n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError("complete_bipartite needs both sides nonempty")
+    _check_order(a + b)
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
@@ -48,6 +52,7 @@ def star(n: int) -> Graph:
     """n vertices, center 0 joined to every leaf."""
     if n < 1:
         raise ValueError("star needs n >= 1")
+    _check_order(n)
     return Graph(n, [(0, v) for v in range(1, n)])
 
 
@@ -68,6 +73,7 @@ def theta(a: int, b: int, c: int) -> Graph:
         raise ValueError("theta path lengths must be >= 1")
     if sum(1 for x in lengths if x == 1) > 1:
         raise ValueError("at most one theta path may be a single edge")
+    _check_order(a + b + c - 1)
     edges = []
     nxt = 2
     for length in lengths:
@@ -111,6 +117,7 @@ def erdos_renyi(n: int, p_numerator: int, p_denominator: int, seed: int) -> Grap
     """G(n, p) with exact rational p; pair stream in lexicographic order."""
     if p_denominator < 1 or not 0 <= p_numerator <= p_denominator:
         raise ValueError("probability must be a rational in [0, 1]")
+    _check_order(n)
     rng = random.Random(seed)
     threshold = p_numerator << 64
     edges = []

@@ -28,6 +28,11 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_order(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise GraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
@@ -45,8 +50,7 @@ class Graph:
     __slots__ = ("n", "_adj", "_degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if not 0 <= n <= MAX_VERTICES:
-            raise GraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        _check_order(n)
         adj = [0] * n
         for u, v in edges:
             if u == v:

@@ -1,25 +1,26 @@
 """Constructive (u, v)-paths through every vertex of degree at least the
 bipartite-hole-number plus one.
 
-Starting from a shortest (u, v)-path, each round absorbs one more heavy
-vertex w lying off the path: connect w to the path by a shortest connector Q,
-pick the first heavy path vertex after the attachment point, and try the
-three template groups of the case split in order: through the connector
-(a direct jump to the pivot or a shared off-path neighbor), a bridge
-crossing edge, and the anchored mid-path case.  Hole-freeness of the split
-(s, t) forces one of the scanned crossing edges to exist, and each
-template's formula yields a (u, v)-path that keeps every on-path heavy
-vertex and gains w.  Progress is therefore strict and the loop runs at most
-|H| times.
+Starting from a shortest (u, v)-path, each call of ``augment_once`` is one
+round that absorbs one more heavy vertex w lying off the path: connect w to
+the path by a shortest connector Q, pick the first heavy path vertex after
+the attachment point, and try the two template groups of the case split in
+order.  The connector group goes through Q: a direct jump to the pivot, a
+shared off-path neighbor, or a bridge crossing edge.  The anchored group
+handles the mid-path case.  Hole-freeness of the split (s, t) forces one of
+the scanned crossing edges to exist, and each template's formula yields a
+(u, v)-path that keeps every on-path heavy vertex and gains w.  Progress is
+therefore strict and the loop runs at most |H| times.
 
-Every candidate is validated (path property, endpoints, strict heavy gain)
-before being accepted.  A round that no template group closes raises
-InternalInconsistencyError at once, naming the case that failed.
+Each group yields its candidates in scan order, and the round keeps the
+first one that is valid (path property, endpoints, strict heavy gain).  A
+round that no template group closes raises InternalInconsistencyError at
+once, naming the case that failed.  One BFS, ``_route``, finds both the
+first path and each connector.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import (
     DegreeConditionError,
@@ -52,325 +53,226 @@ def _check_endpoints(g: Graph, u: int, v: int) -> None:
         raise ValueError("vertex outside graph")
 
 
-def initial_path(g: Graph, u: int, v: int) -> OrientedPath:
-    """Shortest (u, v)-path by BFS with ascending tie-breaks."""
-    _check_endpoints(g, u, v)
-    parent = {u: -1}
-    frontier = [u]
-    while frontier and v not in parent:
-        nxt = []
-        for a in frontier:
-            for b in g.neighbors(a):
-                if b not in parent:
-                    parent[b] = a
-                    nxt.append(b)
-        frontier = nxt
-    if v not in parent:
-        raise DisconnectedError(f"no path between {u} and {v}")
-    seq = [v]
-    while seq[-1] != u:
-        seq.append(parent[seq[-1]])
-    seq.reverse()
-    return OrientedPath(g, seq)
+def _route(g: Graph, start: int, targets: int) -> list[int] | None:
+    """A shortest path from ``start`` to the vertex mask ``targets``, start
+    first, or None when no target is reachable.
 
-
-@dataclass
-class AugmentContext:
-    """One absorption round: the path, the heavy target w off it, the
-    connector Q (path-endpoint first, w last), the attachment position, the
-    first heavy position after it, and the s of the hole-free split."""
-
-    path: OrientedPath
-    w: int
-    connector: list[int]
-    p_pos: int
-    q_pos: int
-    s: int
-    heavy_mask: int
-
-
-def _shortest_connector(g: Graph, path: OrientedPath, w: int) -> list[int] | None:
-    """BFS-shortest (w, V(P))-path, returned endpoint-first; None if separated."""
-    on = set(path.vertices)
-    parent = {w: -1}
-    frontier = [w]
+    The BFS keeps each vertex's first-found parent and ends at the lowest
+    target of the first layer that holds one, so the path never passes
+    through a target.
+    """
+    parent = {start: -1}
+    frontier = [start]
     while frontier:
         nxt = []
-        hits = []
         for a in frontier:
             for b in g.neighbors(a):
                 if b not in parent:
                     parent[b] = a
                     nxt.append(b)
-                    if b in on:
-                        hits.append(b)
+        hits = [b for b in nxt if targets >> b & 1]
         if hits:
-            end = min(hits)
-            seq = [end]
-            while seq[-1] != w:
+            seq = [min(hits)]
+            while seq[-1] != start:
                 seq.append(parent[seq[-1]])
-            return seq
-        frontier = [b for b in nxt if b not in on]
+            return seq[::-1]
+        frontier = nxt
     return None
 
 
-def _accept(g: Graph, before: OrientedPath, heavy_mask: int, seq: list[int]) -> OrientedPath | None:
-    """Validate a candidate: real path, same endpoints, strictly more heavy."""
-    if not seq or seq[0] != before.first or seq[-1] != before.last:
-        return None
-    gained = sum(1 for x in set(seq) if heavy_mask >> x & 1)
-    had = sum(1 for x in before.vertices if heavy_mask >> x & 1)
-    if gained <= had:
-        return None
-    try:
-        return OrientedPath(g, seq)
-    except WalkError:
-        return None
+def initial_path(g: Graph, u: int, v: int) -> OrientedPath:
+    """Shortest (u, v)-path by BFS with ascending tie-breaks."""
+    _check_endpoints(g, u, v)
+    seq = _route(g, u, 1 << v)
+    if seq is None:
+        raise DisconnectedError(f"no path between {u} and {v}")
+    return OrientedPath(g, seq)
+
+
+def _nearest(g: Graph, sources: int, targets: int) -> int:
+    """The lowest target in the first BFS layer around ``sources`` that
+    holds one; the lowest target when none is reachable."""
+    hit = next((m & targets for m in g.layers(sources) if m & targets), targets)
+    return (hit & -hit).bit_length() - 1
 
 
 # -- template groups ---------------------------------------------------------
 
 
-def _try_direct_and_common(g, path, w, connector, p_pos, q_pos, heavy_mask):
-    """Absorption through the connector: straight jump to the heavy pivot,
-    else a shared off-path neighbor."""
-    verts = path.vertices
+def _through_connector(g, verts, pos, w, connector, p_pos, q_pos):
+    """Absorption through the connector: a straight jump to the heavy pivot,
+    a shared off-path neighbor, then a crossing edge from a free neighbor of
+    w to a neighbor-of-the-pivot slot (an off-path neighbor of the pivot, or
+    the predecessor of an on-path one; four rerouting formulas by position).
+    """
     vq = verts[q_pos]
     q_set = set(connector)
-    head = list(verts[: p_pos + 1]) + connector[1:]
-    tail = list(verts[q_pos:])
+    head = [*verts[: p_pos + 1], *connector[1:]]
+    tail = verts[q_pos:]
     if g.has_edge(w, vq):
-        cand = _accept(g, path, heavy_mask, _chain(head, tail))
-        if cand is not None:
-            return cand
-    on = set(verts)
-    nrw = [x for x in g.neighbors(w) if x not in on]
-    nrq = {x for x in g.neighbors(vq) if x not in on}
-    for x in nrw:
-        if x in nrq and x not in q_set:
-            cand = _accept(g, path, heavy_mask, _chain(head, [x], tail))
-            if cand is not None:
-                return cand
-    return None
-
-
-def _try_bridge(g, path, w, connector, p_pos, q_pos, heavy_mask):
-    """Crossing edge from a free neighbor of w to a neighbor-of-the-pivot
-    slot: an off-path neighbor of the pivot, or the predecessor of an
-    on-path one; four rerouting formulas by position."""
-    verts = path.vertices
-    vq = verts[q_pos]
-    pos = {x: i for i, x in enumerate(verts)}
-    on = set(verts)
-    q_set = set(connector)
-    head = list(verts[: p_pos + 1]) + connector[1:]
-    tail = list(verts[q_pos:])
-    xs = sorted(x for x in g.neighbors(w) if x not in on and x not in q_set)
-    ys_off = sorted(
-        y for y in g.neighbors(vq) if y not in on and y not in q_set and y != w
-    )
+        yield _chain(head, tail)
+    xs = [x for x in g.neighbors(w) if x not in pos and x not in q_set]
+    for x in xs:
+        if g.has_edge(x, vq):
+            yield _chain(head, [x], tail)
+    ys_off = [y for y in g.neighbors(vq) if y not in pos and y not in q_set]
     for x in xs:
         for y in ys_off:
             if g.has_edge(x, y):
-                cand = _accept(g, path, heavy_mask, _chain(head, [x, y], tail))
-                if cand is not None:
-                    return cand
+                yield _chain(head, [x, y], tail)
     pred_pos = sorted(
         pos[z] - 1
         for z in g.neighbors(vq)
-        if z in on and pos[z] >= 1 and pos[z] - 1 != p_pos
+        if z in pos and pos[z] >= 1 and pos[z] - 1 != p_pos
     )
     for x in xs:
         for j in pred_pos:
-            y = verts[j]
-            if not g.has_edge(x, y):
+            if not g.has_edge(x, verts[j]):
                 continue
             if j < p_pos:
-                seq = _chain(
+                yield _chain(
                     verts[: j + 1],
                     [x],
                     reversed(connector),
                     reversed(verts[j + 1 : p_pos + 1]),
-                    verts[q_pos:],
+                    tail,
                 )
             elif j >= q_pos:
-                seq = _chain(
+                yield _chain(
                     head, [x], reversed(verts[q_pos : j + 1]), verts[j + 1 :]
                 )
             else:
-                seq = _chain(head, [x], verts[j:])
-            cand = _accept(g, path, heavy_mask, seq)
-            if cand is not None:
-                return cand
-    return None
+                yield _chain(head, [x], verts[j:])
 
 
-def _try_anchored(g, path, w, r_pos, q2, heavy_mask):
+def _anchored(g, verts, pos, w, wp_pos, r_pos, q2):
     """Mid-path case: w hangs off its anchored neighbor verts[r_pos]; scan
     around the heavy pivot at q2 > r_pos, then absorb directly if w touches
     the stretch between them."""
-    verts = path.vertices
-    pos = {x: i for i, x in enumerate(verts)}
-    on = set(verts)
     vq = verts[q2]
-    wp_pos = [pos[z] for z in g.neighbors(w) if z in on]
-    w2_pos = sorted(i for i in wp_pos if i < r_pos)
-    w3_pos = sorted(i for i in wp_pos if i > q2)
-    nq_pos = [pos[z] for z in g.neighbors(vq) if z in on]
-    v1_pos = sorted(j for j in nq_pos if r_pos < j < q2)
-    v2_pos = sorted(j for j in nq_pos if j > q2)
-    v3_pos = sorted(j for j in nq_pos if j <= r_pos)
-    nrq = sorted(y for y in g.neighbors(vq) if y not in on and y != w)
-    nrw_closed = [w] + sorted(y for y in g.neighbors(w) if y not in on)
+    w2_pos = [i for i in wp_pos if i < r_pos]
+    w3_pos = [i for i in wp_pos if i > q2]
+    nq_pos = sorted(pos[z] for z in g.neighbors(vq) if z in pos)
+    v1_pos = [j for j in nq_pos if r_pos < j < q2]
+    v2_pos = [j for j in nq_pos if j > q2]
+    v3_pos = [j for j in nq_pos if j <= r_pos]
+    nrq = [y for y in g.neighbors(vq) if y not in pos and y != w]
+    nrw_closed = [w] + [y for y in g.neighbors(w) if y not in pos]
+    tail = verts[q2:]
 
-    tail = list(verts[q2:])
-
-    # Scan A: successors of w-neighbors before the anchor.
-    xs = sorted(verts[i + 1] for i in w2_pos)
-    for x in xs:
+    # Scan A: successors of w-neighbors before the anchor, by vertex id.
+    for x in sorted(verts[i + 1] for i in w2_pos):
         ix = pos[x]
-        hook = list(verts[:ix]) + [w] + list(reversed(verts[ix : r_pos + 1]))
+        hook = [*verts[:ix], w, *reversed(verts[ix : r_pos + 1])]
         for y in nrq:
             if g.has_edge(x, y):
-                cand = _accept(g, path, heavy_mask, _chain(hook, [y], tail))
-                if cand is not None:
-                    return cand
+                yield _chain(hook, [y], tail)
         for j in v1_pos:
             if g.has_edge(x, verts[j]):
-                cand = _accept(g, path, heavy_mask, _chain(hook, verts[j:]))
-                if cand is not None:
-                    return cand
+                yield _chain(hook, verts[j:])
         for j in v2_pos:
-            y = verts[j - 1]
-            if j - 1 >= q2 and g.has_edge(x, y):
-                seq = _chain(hook, reversed(verts[q2:j]), verts[j:])
-                cand = _accept(g, path, heavy_mask, seq)
-                if cand is not None:
-                    return cand
+            if g.has_edge(x, verts[j - 1]):
+                yield _chain(hook, reversed(verts[q2:j]), verts[j:])
 
-    # Scan B: predecessors of pivot-neighbors at or before the anchor.
-    xs = sorted(verts[j - 1] for j in v3_pos if j >= 1)
-    for x in xs:
+    # Scan B: predecessors of pivot-neighbors at or before the anchor, by
+    # vertex id.
+    for x in sorted(verts[j - 1] for j in v3_pos if j >= 1):
         ix = pos[x]
         for y in nrw_closed:
-            if not g.has_edge(x, y):
-                continue
-            seq = _chain(
-                verts[: ix + 1],
-                [y, w],
-                reversed(verts[ix + 1 : r_pos + 1]),
-                tail,
-            )
-            cand = _accept(g, path, heavy_mask, seq)
-            if cand is not None:
-                return cand
+            if g.has_edge(x, y):
+                yield _chain(
+                    verts[: ix + 1],
+                    [y, w],
+                    reversed(verts[ix + 1 : r_pos + 1]),
+                    tail,
+                )
         for j in w3_pos:
-            y = verts[j - 1]
-            if j - 1 >= q2 and g.has_edge(x, y):
-                seq = _chain(
+            if g.has_edge(x, verts[j - 1]):
+                yield _chain(
                     verts[: ix + 1],
                     reversed(verts[q2:j]),
                     verts[ix + 1 : r_pos + 1],
                     [w],
                     verts[j:],
                 )
-                cand = _accept(g, path, heavy_mask, seq)
-                if cand is not None:
-                    return cand
 
     # Direct absorption between anchor and pivot.
-    for j in sorted(i for i in wp_pos if r_pos < i <= q2):
-        cand = _accept(
-            g, path, heavy_mask, _chain(verts[: r_pos + 1], [w], verts[j:])
-        )
-        if cand is not None:
-            return cand
-    return None
+    for j in wp_pos:
+        if r_pos < j <= q2:
+            yield _chain(verts[: r_pos + 1], [w], verts[j:])
 
 
-def build_context(g: Graph, path: OrientedPath, heavy_mask: int, s: int) -> AugmentContext:
-    """Pick the nearest missing heavy vertex, its shortest connector, and the
-    attachment bookkeeping; reorients the path so the attachment is not the
-    far endpoint, and re-anchors the connector while its inner end touches
-    the heavy pivot.
+def augment_once(
+    g: Graph, path: OrientedPath, heavy_mask: int, s: int
+) -> OrientedPath:
+    """One absorption round: a path with the same ends, every heavy vertex
+    of ``path`` and at least one more, for the s of the hole-free split.
 
-    The nearest vertex is the lowest id in the first layer of a BFS from the
-    whole path that holds a missing heavy vertex; when none is reachable it
-    is the lowest missing id, and the connector search reports it.
+    The round absorbs the nearest missing heavy vertex w (the lowest id in
+    the first layer of a BFS from the whole path that holds one) through its
+    shortest connector Q, taken path-endpoint first.  The path is reoriented
+    so the attachment is not its far end, and Q is re-anchored while its
+    inner end touches the first heavy vertex after the attachment.  A round
+    that no template group closes raises InternalInconsistencyError naming
+    the failed case.
     """
     on_mask = mask_of(path.vertices)
     missing = heavy_mask & ~on_mask
     if not missing:
         raise ValueError("no heavy vertex off the path")
-    hit = next((m & missing for m in g.layers(on_mask) if m & missing), missing)
-    w = (hit & -hit).bit_length() - 1
-    connector = _shortest_connector(g, path, w)
+    w = _nearest(g, on_mask, missing)
+    connector = _route(g, w, on_mask)
     if connector is None:
         raise DisconnectedError(f"heavy vertex {w} unreachable from the path")
+    connector.reverse()
 
     seen_states = set()
-    for _ in range(2 * len(path) + 4):
-        verts = path.vertices
-        k = len(verts)
-        pos = {x: i for i, x in enumerate(verts)}
-        p_pos = pos[connector[0]]
-        if p_pos == k - 1:
+    while True:
+        if path.last == connector[0]:
             path = path.flip()
-            verts = path.vertices
-            pos = {x: i for i, x in enumerate(verts)}
-            p_pos = pos[connector[0]]
+        verts = path.vertices
+        p_pos = verts.index(connector[0])
         q_pos = next(
-            i for i in range(p_pos + 1, k) if heavy_mask >> verts[i] & 1
+            i for i in range(p_pos + 1, len(verts)) if heavy_mask >> verts[i] & 1
         )
-        if len(connector) >= 3 and g.has_edge(connector[1], verts[q_pos]):
-            state = (verts[0], verts[q_pos])
-            if state in seen_states:
-                break
-            seen_states.add(state)
-            connector = [verts[q_pos]] + connector[1:]
-            continue
-        break
+        vq = verts[q_pos]
+        if len(connector) < 3 or not g.has_edge(connector[1], vq):
+            break
+        if (verts[0], vq) in seen_states:
+            break
+        seen_states.add((verts[0], vq))
+        connector = [vq] + connector[1:]
 
-    return AugmentContext(
-        path=path,
-        w=w,
-        connector=connector,
-        p_pos=p_pos,
-        q_pos=q_pos,
-        s=s,
-        heavy_mask=heavy_mask,
-    )
-
-
-def augment_once(g: Graph, ctx: AugmentContext) -> OrientedPath:
-    """One absorption round; returns a path with strictly more heavy
-    vertices or raises InternalInconsistencyError naming the failed case."""
-    path, w = ctx.path, ctx.w
-    heavy_mask = ctx.heavy_mask
-    verts = path.vertices
     k = len(verts)
+    pos = {x: i for i, x in enumerate(verts)}
+    had = (heavy_mask & on_mask).bit_count()
 
-    cand = _try_direct_and_common(
-        g, path, w, ctx.connector, ctx.p_pos, ctx.q_pos, heavy_mask
-    )
-    if cand is None:
-        cand = _try_bridge(
-            g, path, w, ctx.connector, ctx.p_pos, ctx.q_pos, heavy_mask
-        )
-    if cand is not None:
-        return cand
+    def first_valid(candidates):
+        for seq in candidates:
+            if seq[0] != verts[0] or seq[-1] != verts[-1]:
+                continue
+            if (heavy_mask & mask_of(seq)).bit_count() <= had:
+                continue
+            try:
+                return OrientedPath(g, seq)
+            except WalkError:
+                pass
+        return None
 
+    better = first_valid(_through_connector(g, verts, pos, w, connector, p_pos, q_pos))
+    if better is not None:
+        return better
     wp_pos = [i for i, x in enumerate(verts) if g.has_edge(w, x)]
-    if len(wp_pos) < ctx.s + 1:
-        case = f"vertex {w} has under s+1 = {ctx.s + 1} on-path neighbors"
-    elif wp_pos[ctx.s] == k - 1:
+    if len(wp_pos) < s + 1:
+        case = f"vertex {w} has under s+1 = {s + 1} on-path neighbors"
+    elif wp_pos[s] == k - 1:
         case = f"the anchor of vertex {w} is the path's last vertex"
     else:
-        r_pos = wp_pos[ctx.s]
+        r_pos = wp_pos[s]
         q2 = next(i for i in range(r_pos + 1, k) if heavy_mask >> verts[i] & 1)
-        cand = _try_anchored(g, path, w, r_pos, q2, heavy_mask)
-        if cand is not None:
-            return cand
+        better = first_valid(_anchored(g, verts, pos, w, wp_pos, r_pos, q2))
+        if better is not None:
+            return better
         case = f"no anchored template around positions {r_pos} and {q2}"
     DIAGNOSTICS["fallback"] += 1
     raise InternalInconsistencyError(
@@ -418,8 +320,7 @@ def _heavy_path(g: Graph, u: int, v: int, cert: HoleCertificate) -> OrientedPath
     for _ in range(heavy_mask.bit_count() + 1):
         if not heavy_mask & ~mask_of(path.vertices):
             break
-        ctx = build_context(g, path, heavy_mask, s)
-        path = augment_once(g, ctx)
+        path = augment_once(g, path, heavy_mask, s)
     else:
         raise InternalInconsistencyError("absorption loop failed to converge")
 

@@ -13,9 +13,12 @@ import pytest
 
 import biphole.paths as paths_mod
 from biphole import (
+    DegreeConditionError,
     bipartite_hole_number,
+    brute_cycle_through_set,
     brute_hamiltonian,
     brute_hamiltonian_connected,
+    brute_path_through_set,
     check_fan_type,
     check_liu_yuan_zhang,
     complete,
@@ -245,6 +248,42 @@ def test_spot_values():
         assert naive_hole_number(g) == expected, write_graph6(g)
         assert hole_number(g) == expected, write_graph6(g)
     _report("spot-values", f"{len(cases)} pinned values", t0)
+
+
+@pytest.mark.parametrize("g6", ["D]o", "DF{"])
+def test_cycle_threshold_is_sharp(g6):
+    """A 2-connected graph with no cycle through every vertex of degree
+    >= hole-number - 1; the construction's cycle covers degree >= hole-number
+    only."""
+    g = parse_graph6(g6)
+    at = hole_number(g)
+    assert (g.n, at) == (5, 3) and g.is_two_connected()
+    lowered = [v for v in range(g.n) if g.degree(v) >= at - 1]
+    assert brute_cycle_through_set(g, lowered) is None
+    c = cycle_through_heavy(g)
+    assert verify_heavy_cycle(g, c, at)
+    assert not verify_heavy_cycle(g, c, at - 1)
+
+
+def test_path_thresholds_are_sharp():
+    """Path thresholds: heavy ends of degree >= hole-number + 1 with a path
+    through every vertex of degree >= hole-number, not one less."""
+    g = parse_graph6("C|")  # K4 minus the edge 1-3
+    at = hole_number(g)
+    assert at == 2 and g.degree(0) == g.degree(2) == at + 1
+    lowered = [v for v in range(g.n) if g.degree(v) >= at]
+    assert brute_path_through_set(g, 0, 2, lowered) is None
+    p = heavy_path(g, 0, 2)
+    assert p.vertices == (0, 2)
+    assert verify_heavy_path(g, p, 0, 2, at + 1)
+    assert not verify_heavy_path(g, p, 0, 2, at)
+    # The 4-cycle: both thresholds at the hole-number fail for opposite ends.
+    g = parse_graph6("Cl")
+    at = hole_number(g)
+    assert at == 2 and all(g.degree(v) == at for v in range(4))
+    assert brute_path_through_set(g, 0, 2, range(4)) is None
+    with pytest.raises(DegreeConditionError):
+        heavy_path(g, 0, 2)
 
 
 def test_graph6_roundtrip_and_fuzz():

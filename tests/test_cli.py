@@ -80,6 +80,17 @@ def test_parse_error_exit_4(capsys):
     assert code == 4 and "error" in err
     code, _, _ = run(capsys, "alpha", "--family", "nosuch,3")
     assert code == 4
+    code, _, err = run(capsys, "alpha", "--family", "complete,600")
+    assert code == 4 and err == "error: vertex count 600 outside 0..512\n"
+
+
+def test_os_and_value_errors_exit_4(tmp_path, capsys):
+    code, _, err = run(capsys, "alpha", "--edges", str(tmp_path / "absent.txt"))
+    assert code == 4 and err.startswith("error: ") and "absent.txt" in err
+    code, _, err = run(
+        capsys, "path", "--family", "complete,4", "--from", "0", "--to", "9"
+    )
+    assert code == 4 and err == "error: vertex outside graph\n"
 
 
 def test_dot_output(tmp_path, capsys):

@@ -1,7 +1,12 @@
+from types import SimpleNamespace
+
 import pytest
 
+import biphole.generators as generators_mod
 from biphole import (
+    MAX_VERTICES,
     Graph,
+    GraphError,
     UnknownNameError,
     complete,
     complete_bipartite,
@@ -34,6 +39,40 @@ def test_theta_validation():
         theta(1, 1, 2)
     with pytest.raises(ValueError):
         theta(0, 2, 2)
+
+
+class _NoDraws:
+    def __init__(self, seed):
+        pass
+
+    def getrandbits(self, k):
+        raise AssertionError("random word drawn before the order check")
+
+
+def _no_range(*args):
+    raise AssertionError("edge list built before the order check")
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (complete, (MAX_VERTICES + 1,)),
+        (cycle, (MAX_VERTICES + 1,)),
+        (path, (MAX_VERTICES + 1,)),
+        (star, (MAX_VERTICES + 1,)),
+        (complete_bipartite, (MAX_VERTICES, 1)),
+        (theta, (MAX_VERTICES - 1, 1, 2)),
+        (erdos_renyi, (MAX_VERTICES + 1, 1, 2, 1)),
+    ],
+)
+def test_oversized_order_fails_before_building(monkeypatch, build, args):
+    # The edge list of an oversized order is quadratic in n, so the order
+    # is refused before any pair is visited or any random word drawn.
+    monkeypatch.setattr(generators_mod, "range", _no_range, raising=False)
+    no_draws = SimpleNamespace(Random=_NoDraws)
+    monkeypatch.setattr(generators_mod, "random", no_draws)
+    with pytest.raises(GraphError, match=f"vertex count {MAX_VERTICES + 1} "):
+        build(*args)
 
 
 def test_named_dispatch():

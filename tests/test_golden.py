@@ -14,10 +14,17 @@ from biphole import (
     run_condition,
     write_graph6,
 )
-from biphole.generators import enumerate_labeled
+from biphole.generators import enumerate_labeled, erdos_renyi
 from biphole.sweep import property_names, run_enumerated
 
 GOLDEN_SHA256 = "2841a1d2a2b6add294ddafdf8308c7db0840e72cb60210e517712d7395ea2c02"
+
+# The constructions on 300 seeded G(n, p) with n = 8..14: 14,092 ordered
+# heavy pairs, whose absorption rounds close in every template group (93,226
+# through the connector directly or by a common neighbor, 1,375 by a bridge,
+# 3,583 anchored).  The n <= 5 corpus above never reaches the bridge.
+CONSTRUCTION_SHA256 = "9f04dc9f8ab9ba387c93824d1f10e3c7637cb319321f2dcda38b32d486c278fa"
+CONSTRUCTION_P = ((1, 2), (2, 3), (3, 4), (1, 3))
 
 
 def _answer(fn, *args):
@@ -29,6 +36,16 @@ def _answer(fn, *args):
     return out.to_json() if isinstance(out, ConditionReport) else out.vertices
 
 
+def _construction_lines(g, g6):
+    yield g6 + " cycle " + repr(_answer(cycle_through_heavy, g))
+    at = hole_number(g) if g.n else 0
+    heavy = [v for v in range(g.n) if g.degree(v) > at]
+    for u in heavy:
+        for v in heavy:
+            if u != v:
+                yield f"{g6} path {u} {v} " + repr(_answer(heavy_path, g, u, v))
+
+
 def _lines():
     for n in range(6):
         for g in enumerate_labeled(n):
@@ -36,13 +53,7 @@ def _lines():
             yield g6 + " dist " + repr([g.distances_from(v) for v in range(g.n)])
             for name in condition_names():
                 yield g6 + " " + json.dumps(_answer(run_condition, name, g))
-            yield g6 + " cycle " + repr(_answer(cycle_through_heavy, g))
-            at = hole_number(g) if g.n else 0
-            heavy = [v for v in range(g.n) if g.degree(v) > at]
-            for u in heavy:
-                for v in heavy:
-                    if u != v:
-                        yield f"{g6} path {u} {v} " + repr(_answer(heavy_path, g, u, v))
+            yield from _construction_lines(g, g6)
     sweep = run_enumerated(5, list(property_names()))
     yield json.dumps([sweep.checked, sweep.skipped, sweep.failures], sort_keys=True)
 
@@ -50,3 +61,13 @@ def _lines():
 def test_outputs_match_pinned_digest():
     digest = hashlib.sha256("\n".join(_lines()).encode()).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+def test_constructions_match_pinned_digest():
+    lines = []
+    for i in range(300):
+        g = erdos_renyi(8 + i % 7, *CONSTRUCTION_P[i % 4], 5000 + i)
+        lines += _construction_lines(g, write_graph6(g))
+    assert sum(" path " in line for line in lines) == 14092
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CONSTRUCTION_SHA256

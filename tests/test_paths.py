@@ -20,6 +20,7 @@ from biphole import (
     verify_heavy_path,
 )
 from biphole.generators import enumerate_labeled, erdos_renyi
+from biphole.graph import mask_of
 
 from conftest import graphs, seeded_graphs
 
@@ -129,16 +130,22 @@ def test_exhaustive_small_all_pairs():
                     assert p.first == u and p.last == v
 
 
-def test_build_context_and_augment_once():
+def _assert_connector(g, p, w, connector):
+    """Q starts on the path, ends at w and keeps its interior off the path."""
+    assert connector[0] in p.vertices and connector[-1] == w
+    assert set(connector[1:-1]).isdisjoint(p.vertices)
+
+
+def test_augment_once():
     g = k6_minus_matching()
     p = initial_path(g, 0, 3)
     assert p.vertices == (0, 1, 3)
     heavy_mask = sum(1 << v for v in range(6))  # threshold 3, all heavy
-    ctx = paths_mod.build_context(g, p, heavy_mask, 1)
-    assert ctx.w == 2  # nearest missing heavy vertex, smallest id
-    assert ctx.connector[-1] == ctx.w
-    assert set(ctx.connector[1:-1]).isdisjoint(ctx.path.vertices)
-    better = paths_mod.augment_once(g, ctx)
+    on_mask = mask_of(p.vertices)
+    w = paths_mod._nearest(g, on_mask, heavy_mask & ~on_mask)
+    assert w == 2  # nearest missing heavy vertex, smallest id
+    _assert_connector(g, p, w, paths_mod._route(g, w, on_mask)[::-1])
+    better = paths_mod.augment_once(g, p, heavy_mask, 1)
     assert better.first == p.first and better.last == p.last
     assert len(set(better.vertices) & {0, 1, 2, 3, 4, 5}) > 3
 
@@ -162,7 +169,7 @@ def _rounds(draw):
 
 @given(_rounds())
 @settings(max_examples=300, deadline=None)
-def test_build_context_picks_nearest_like_per_vertex_bfs(case):
+def test_augment_once_picks_nearest_like_per_vertex_bfs(case):
     g, p, heavy_mask = case
     # Reference: one BFS per missing heavy vertex, lowest id at the least
     # distance to the path.
@@ -170,24 +177,28 @@ def test_build_context_picks_nearest_like_per_vertex_bfs(case):
     missing = [x for x in range(g.n) if heavy_mask >> x & 1 and x not in on]
     dist = {x: min(g.distances_from(x)[y] for y in p.vertices) for x in missing}
     expected = min(missing, key=lambda x: (dist[x], x))
-    try:
-        ctx = paths_mod.build_context(g, p, heavy_mask, 1)
-    except DisconnectedError as exc:
-        assert f"heavy vertex {expected} unreachable" in str(exc)
-        assert dist[expected] == float("inf")
+    on_mask = mask_of(p.vertices)
+    assert paths_mod._nearest(g, on_mask, mask_of(missing)) == expected
+    connector = paths_mod._route(g, expected, on_mask)
+    if dist[expected] == float("inf"):
+        assert connector is None
+        unreachable = f"heavy vertex {expected} unreachable"
+        with pytest.raises(DisconnectedError, match=unreachable):
+            paths_mod.augment_once(g, p, heavy_mask, 1)
     else:
-        assert ctx.w == expected
+        assert len(connector) == dist[expected] + 1
+        _assert_connector(g, p, expected, connector[::-1])
 
 
 def test_round_without_template_raises_at_once():
     # Star with center 1; heavy leaf 3 touches the path 0-1-2 only at 1, so
     # no template group applies and the round must raise, not search.
     g = Graph(4, [(0, 1), (1, 2), (1, 3)])
-    ctx = paths_mod.build_context(g, initial_path(g, 0, 2), 0b1101, 1)
-    assert ctx.w == 3
+    p = initial_path(g, 0, 2)
+    assert paths_mod._nearest(g, mask_of(p.vertices), 0b1000) == 3
     before = paths_mod.DIAGNOSTICS["fallback"]
     with pytest.raises(InternalInconsistencyError, match="on-path neighbors"):
-        paths_mod.augment_once(g, ctx)
+        paths_mod.augment_once(g, p, 0b1101, 1)
     assert paths_mod.DIAGNOSTICS["fallback"] == before + 1
 
 

@@ -9,13 +9,13 @@ from biphole import Cycle, Graph, OrientedPath
 from biphole import paths as paths_mod
 
 EXPORTS = [
-    "AugmentContext", "BipholeError", "ConditionReport", "Cycle",
+    "BipholeError", "ConditionReport", "Cycle",
     "DegreeConditionError", "DisconnectedError", "Graph", "GraphError",
     "HoleCertificate", "HoleWitness", "INFINITY", "InternalInconsistencyError",
     "MAX_VERTICES", "NotTwoConnectedError", "OrientedPath", "ParseError",
     "SizeGuardError", "UnknownNameError", "WalkError", "alpha2", "augment_once",
     "bipartite_hole_number", "brute_cycle_through_set", "brute_hamiltonian",
-    "brute_hamiltonian_connected", "brute_path_through_set", "build_context",
+    "brute_hamiltonian_connected", "brute_path_through_set",
     "check_dirac", "check_erdos_gallai", "check_fan_type",
     "check_liu_yuan_zhang", "check_mcdiarmid_yolov", "check_ore", "check_zhou",
     "common_neighbors", "complete", "complete_bipartite", "condition_names",
