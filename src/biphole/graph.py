@@ -193,8 +193,32 @@ class Graph:
         return frozenset(cuts)
 
     def is_two_connected(self) -> bool:
-        """Order >= 3, connected, and no cut vertex."""
-        return self.n >= 3 and self.is_connected() and not self.cut_vertices()
+        """Order >= 3, connected, and no cut vertex.
+
+        Checked as n + 1 mask searches: V itself and every V - {v} must
+        induce a connected graph, which is what "no cut vertex" means once
+        V is connected.
+        """
+        n = self.n
+        if n < 3:
+            return False
+        full = (1 << n) - 1
+        return self._spans(full) and all(
+            self._spans(full ^ 1 << v) for v in range(n)
+        )
+
+    def _spans(self, allowed: int) -> bool:
+        """Whether the nonempty vertex mask ``allowed`` induces a connected
+        subgraph: one search from its lowest vertex reaches all of it."""
+        adj = self._adj
+        seen = todo = allowed & -allowed
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = adj[low.bit_length() - 1] & allowed & ~seen
+            seen |= new
+            todo |= new
+        return seen == allowed
 
     # -- derived graphs ---------------------------------------------------
 

@@ -17,15 +17,24 @@ is not advanced, and no s-set is scanned twice in one certificate.  The
 holes found one level below are the lower-bound witnesses, with the sides
 swapped for s' > k/2.
 
+The naive oracles are the independent anchor for n <= 14 and call none of
+the above: for each s-set S in lexicographic order they walk the
+lexicographic t-subset masks of all n vertices (built once per (n, t) and
+cached) up to the first T that misses S and N(S).  The masks that avoid S
+come in the order of the t-subsets of V - S, so the witness is the plain
+double enumeration's.  The test is an edge check per (S, T), not the |N[S]|
+reduction, so a fault in the cursor search cannot hide in both.
+
 Watch the vacuous case: when s + t > n no hole can exist, so the number of
 an edgeless graph on n vertices is n, and a single vertex gives 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
-from .graph import Graph, mask_of
+from .graph import Graph, iter_bits, mask_of
 from .oracle import _guard
 
 
@@ -203,22 +212,42 @@ def validate_certificate(g: Graph, cert: HoleCertificate) -> bool:
     return s > g.n or min_closed_neighborhood(g, s)[0] > g.n - t
 
 
+@lru_cache(maxsize=128)
+def _subset_masks(n: int, t: int) -> tuple[int, ...]:
+    """The bitmasks of the t-subsets of ``range(n)``, in lexicographic order."""
+    return tuple(mask_of(subset) for subset in combinations(range(n), t))
+
+
+def _naive_hole(
+    n: int, closed: list[int], s: int, t: int
+) -> tuple[tuple[int, ...], int] | None:
+    """The first s-set S and, for it, the first t-set mask T of ``range(n)``
+    with T & (S | N(S)) == 0, both in lexicographic order; None if no pair
+    fits.  ``closed[v]`` is the mask of N[v]."""
+    if s + t > n:
+        return None
+    t_masks = _subset_masks(n, t)
+    for s_set in combinations(range(n), s):
+        blocked = 0
+        for v in s_set:
+            blocked |= closed[v]
+        for tm in t_masks:
+            if not tm & blocked:
+                return s_set, tm
+    return None
+
+
 def naive_hole_oracle(g: Graph, s: int, t: int, max_n: int | None = None) -> HoleWitness | None:
     """Double enumeration over all (S, T) pairs; correctness anchor for find_hole."""
     if s < 1 or t < 1:
         raise ValueError("hole sides must have size at least 1")
     _guard(g, max_n)
     n = g.n
-    for s_set in combinations(range(n), s):
-        sm = mask_of(s_set)
-        rest = [v for v in range(n) if not (sm >> v & 1)]
-        sn = 0
-        for v in s_set:
-            sn |= g.adj_mask(v)
-        for t_set in combinations(rest, t):
-            if not sn & mask_of(t_set):
-                return HoleWitness(frozenset(s_set), frozenset(t_set))
-    return None
+    hole = _naive_hole(n, [g.adj_mask(v) | 1 << v for v in range(n)], s, t)
+    if hole is None:
+        return None
+    s_set, tm = hole
+    return HoleWitness(frozenset(s_set), frozenset(iter_bits(tm)))
 
 
 def naive_hole_number(g: Graph, max_n: int | None = None) -> int:
@@ -226,11 +255,13 @@ def naive_hole_number(g: Graph, max_n: int | None = None) -> int:
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     _guard(g, max_n)
+    n = g.n
+    closed = [g.adj_mask(v) | 1 << v for v in range(n)]
     k = 0
     while True:
         k += 1
         for s in range(1, (k + 1) // 2 + 1):
-            if naive_hole_oracle(g, s, k + 1 - s, max_n=max_n) is None:
+            if _naive_hole(n, closed, s, k + 1 - s) is None:
                 return k
 
 

@@ -289,10 +289,13 @@ def run_graph6_lines(
 def _run(properties, jobs: int, graphs, total: int, task) -> SweepResult:
     """Sweep ``graphs`` in this process, or hand the chunks ``task(lo, hi)``
     of the source's ``total`` graphs to at most one worker per CPU; the
-    chunk size follows the clamped job count."""
+    chunk size follows the clamped job count.  ``jobs`` below 1 raises
+    ``ValueError`` before any graph is drawn."""
     for name in properties:
         if name not in PROPERTIES:
             raise UnknownNameError("property", name, property_names())
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1; got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
     result = SweepResult()
     if jobs <= 1:

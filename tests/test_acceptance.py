@@ -250,14 +250,25 @@ def test_spot_values():
     _report("spot-values", f"{len(cases)} pinned values", t0)
 
 
-@pytest.mark.parametrize("g6", ["D]o", "DF{"])
+# graph6 -> (order, hole-number) of the smallest witnesses.
+CYCLE_SHARPNESS = {
+    "D]o": (5, 3),
+    "DF{": (5, 3),
+    "FreRW": (7, 4),
+    "FreVW": (7, 4),
+    "FreVw": (7, 4),
+}
+
+
+@pytest.mark.parametrize("g6", CYCLE_SHARPNESS)
 def test_cycle_threshold_is_sharp(g6):
     """A 2-connected graph with no cycle through every vertex of degree
     >= hole-number - 1; the construction's cycle covers degree >= hole-number
     only."""
     g = parse_graph6(g6)
     at = hole_number(g)
-    assert (g.n, at) == (5, 3) and g.is_two_connected()
+    assert (g.n, at) == CYCLE_SHARPNESS[g6] == (g.n, naive_hole_number(g))
+    assert g.is_two_connected()
     lowered = [v for v in range(g.n) if g.degree(v) >= at - 1]
     assert brute_cycle_through_set(g, lowered) is None
     c = cycle_through_heavy(g)
@@ -284,6 +295,22 @@ def test_path_thresholds_are_sharp():
     assert brute_path_through_set(g, 0, 2, range(4)) is None
     with pytest.raises(DegreeConditionError):
         heavy_path(g, 0, 2)
+
+
+@pytest.mark.parametrize("g6, u, v", [("E^NG", 2, 3), ("EyUw", 1, 5)])
+def test_path_threshold_is_sharp_at_n6(g6, u, v):
+    """A heavy pair (u, v) with no (u, v)-path through every vertex of
+    degree >= hole-number; the construction's path covers degree
+    >= hole-number + 1 only."""
+    g = parse_graph6(g6)
+    at = hole_number(g)
+    assert (g.n, at) == (6, 3) == (6, naive_hole_number(g))
+    assert g.degree(u) >= at + 1 and g.degree(v) >= at + 1
+    lowered = [x for x in range(g.n) if g.degree(x) >= at]
+    assert brute_path_through_set(g, u, v, lowered) is None
+    p = heavy_path(g, u, v)
+    assert verify_heavy_path(g, p, u, v, at + 1)
+    assert not verify_heavy_path(g, p, u, v, at)
 
 
 def test_graph6_roundtrip_and_fuzz():

@@ -154,6 +154,17 @@ def test_sweep_random_with_jobs(capsys):
     assert doc["failures"] == []
 
 
+def test_sweep_jobs_below_one_exit_4(capsys):
+    for jobs in ("0", "-5"):
+        code, out, err = run(
+            capsys,
+            "sweep", "--enumerate", "3", "--properties", "alpha-oracle",
+            "--jobs", jobs,
+        )
+        assert code == 4 and out == ""
+        assert err == f"error: jobs must be at least 1; got {jobs}\n"
+
+
 def test_sweep_graph6_file(tmp_path, capsys):
     lines = [write_graph6(complete(n)) for n in (3, 4, 5)]
     f = tmp_path / "corpus.g6"

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphole import Graph, GraphError, NotTwoConnectedError
-from biphole import complete, cycle, empty, path, petersen
+from biphole import complete, cycle, empty, enumerate_labeled, path, petersen
 
 from conftest import graphs
 
@@ -135,6 +135,39 @@ def test_two_connected_matches_vertex_deletion(g):
     # A cut vertex is one whose removal increases the component count.
     expected_cuts = {v for v in g.vertices if _removal_disconnects(g, v)}
     assert g.cut_vertices() == expected_cuts
+
+
+def _two_connected_by_cut_vertices(g):
+    """2-connectivity as first written: connected with no articulation point."""
+    return g.n >= 3 and g.is_connected() and not g.cut_vertices()
+
+
+def test_two_connected_matches_cut_vertices_exhaustively():
+    for n in range(7):
+        for g in enumerate_labeled(n):
+            assert g.is_two_connected() == _two_connected_by_cut_vertices(g), g
+
+
+@given(graphs(min_n=0, max_n=10))
+@settings(max_examples=200)
+def test_two_connected_matches_cut_vertices(g):
+    assert g.is_two_connected() == _two_connected_by_cut_vertices(g)
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (empty(0), False),
+        (empty(1), False),
+        (complete(2), False),
+        (path(3), False),
+        (complete(3), True),
+        # Two triangles sharing vertex 2, the only cut vertex.
+        (Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]), False),
+    ],
+)
+def test_two_connected_edge_cases(g, expected):
+    assert g.is_two_connected() == expected == _two_connected_by_cut_vertices(g)
 
 
 def _removal_disconnects(g, v):

@@ -111,6 +111,13 @@ def test_naive_oracle_size_guard():
     with pytest.raises(SizeGuardError):
         naive_hole_oracle(empty(15), 1, 1)
     assert naive_hole_oracle(empty(15), 1, 1, max_n=15) is not None
+    # Past the default guard the cached t-subset masks are still exact.
+    w = naive_hole_oracle(empty(15), 7, 8, max_n=15)
+    assert w == HoleWitness(frozenset(range(7)), frozenset(range(7, 15)))
+    assert naive_hole_oracle(empty(15), 8, 8, max_n=15) is None
+    assert naive_hole_number(empty(15), max_n=15) == 15
+    with pytest.raises(SizeGuardError):
+        naive_hole_number(empty(15))
 
 
 @given(graphs(min_n=1, max_n=7))
@@ -226,3 +233,57 @@ def test_certificate_scans_each_subset_at_most_once(monkeypatch):
         scanned.clear()
         bipartite_hole_number(g)
         assert scanned and len(scanned) == len(set(scanned))
+
+
+def _reference_naive_hole(g, s, t):
+    """The double enumeration as first written: T runs over the t-subsets
+    of the vertices outside S, and misses the open neighbourhood of S."""
+    for s_set in combinations(range(g.n), s):
+        sm = mask_of(s_set)
+        rest = [v for v in range(g.n) if not (sm >> v & 1)]
+        sn = 0
+        for v in s_set:
+            sn |= g.adj_mask(v)
+        for t_set in combinations(rest, t):
+            if not sn & mask_of(t_set):
+                return HoleWitness(frozenset(s_set), frozenset(t_set))
+    return None
+
+
+def _reference_naive_number(g):
+    k = 0
+    while True:
+        k += 1
+        for s in range(1, (k + 1) // 2 + 1):
+            if _reference_naive_hole(g, s, k + 1 - s) is None:
+                return k
+
+
+@given(graphs(min_n=1, max_n=8))
+@settings(max_examples=150, deadline=None)
+def test_naive_oracle_matches_reference_enumeration(g):
+    for s in range(1, g.n + 2):
+        for t in range(1, g.n + 2):
+            assert naive_hole_oracle(g, s, t) == _reference_naive_hole(g, s, t)
+    assert naive_hole_number(g) == _reference_naive_number(g)
+
+
+def test_naive_oracle_shares_nothing_with_the_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the naive oracle reached the fast search")
+
+    for name in (
+        "_Cursor",
+        "_closed_masks",
+        "min_closed_neighborhood",
+        "find_hole",
+        "bipartite_hole_number",
+    ):
+        monkeypatch.setattr(holes_mod, name, forbidden)
+    for g, value in [(petersen(), 5), (cycle(5), 3), (empty(6), 6)]:
+        assert naive_hole_number(g) == value
+        for s in range(1, g.n + 1):
+            for t in range(1, g.n + 1):
+                w = naive_hole_oracle(g, s, t)
+                assert w == _reference_naive_hole(g, s, t)
+                assert w is None or (w.is_valid(g) and w.sizes == (s, t))

@@ -108,6 +108,25 @@ def test_jobs_clamped_before_pool(monkeypatch):
     assert result.checked == run_enumerated(4, ["alpha-oracle"]).checked
 
 
+def test_jobs_below_one_raise_before_any_graph(monkeypatch):
+    import biphole.sweep as sweep_mod
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("drew a graph")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sizes, tasks = [], []
+    _inline_pool(monkeypatch, sizes, tasks)
+    monkeypatch.setattr(sweep_mod, "check_graph", no_graph)
+    monkeypatch.setattr(sweep_mod, "parse_graph6", no_graph)
+    for jobs in (0, -5):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_enumerated(4, ["alpha-oracle"], jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_graph6_lines([write_graph6(complete(3))], ["alpha-oracle"], jobs=jobs)
+    assert sizes == [] and tasks == []
+
+
 def test_chunks_follow_clamped_jobs(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     sizes, huge, clamped = [], [], []
