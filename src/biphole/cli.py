@@ -109,6 +109,16 @@ def cmd_alpha(args) -> int:
     return EXIT_OK
 
 
+def _write_walk_dot(dot_path, g: Graph, verts, closed: bool) -> None:
+    """Write g as DOT to ``dot_path``, when given, with the walk ``verts``
+    highlighted; a closed walk also highlights its last-to-first edge."""
+    if not dot_path:
+        return
+    edges = list(zip(verts, verts[1:] + verts[:1] if closed else verts[1:]))
+    with open(dot_path, "w", encoding="utf-8") as fh:
+        fh.write(write_dot(g, verts, edges))
+
+
 def cmd_cycle(args) -> int:
     g = _load_graph(args)
     _require_two_connected(g.is_two_connected())
@@ -117,12 +127,7 @@ def cmd_cycle(args) -> int:
     if args.verify and not verify_heavy_cycle(g, cyc, cert.value):
         raise InternalInconsistencyError("verification failed")
     print(" ".join(map(str, cyc.vertices)))
-    if args.dot:
-        edges = list(zip(cyc.vertices, cyc.vertices[1:])) + [
-            (cyc.vertices[-1], cyc.vertices[0])
-        ]
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(write_dot(g, cyc.vertices, edges))
+    _write_walk_dot(args.dot, g, cyc.vertices, closed=True)
     return EXIT_OK
 
 
@@ -136,10 +141,7 @@ def cmd_path(args) -> int:
     ):
         raise InternalInconsistencyError("verification failed")
     print(" ".join(map(str, p.vertices)))
-    if args.dot:
-        edges = list(zip(p.vertices, p.vertices[1:]))
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(write_dot(g, p.vertices, edges))
+    _write_walk_dot(args.dot, g, p.vertices, closed=False)
     return EXIT_OK
 
 

@@ -13,6 +13,17 @@ heavy coverage survives each level.
 Degrees are always measured in the original graph and the split (s, t) comes
 from its certificate: supergraphs keep both the degree bounds and
 hole-freeness, which is all the case analysis consumes.
+
+Each branch is pinned by a test on a graph (graph6) where it decides the
+cycle.  With fewer than three heavy vertices, two internally disjoint paths
+close a cycle through both heavy ones (``E^r?``), or through the heavy one
+(``E\\r?``) or vertex 0 (C5) and its lowest neighbor.  Otherwise every
+rotation tries, in order: scan 1, an off-path u-neighbor joined to an
+off-path v-neighbor (``FF]iG``) or to the successor of an on-path one
+(``D^o``); scan 2, the predecessor of an early u-neighbor joined to an
+off-path v-neighbor (``Edv_``) or to the successor of a late v-neighbor
+(``C]``); scan 3, the successor of an early v-neighbor joined to the
+successor of a late u-neighbor (``Fgt~g``).
 """
 from __future__ import annotations
 
@@ -115,14 +126,9 @@ def rotation_to_cycle(g: Graph, path, s: int, t: int) -> Cycle:
                 )
                 return _finish_cycle(g, seq, verts)
 
-    # Scan 3: successors of the early v-neighbors against the first vertex
-    # and the shifted late u-neighbors.
+    # Scan 3: successors of the early v-neighbors against the shifted late
+    # u-neighbors.
     v3_succ = sorted(verts[i + 1] for i in v3_pos)
-    for x in v3_succ:
-        ix = pos[x]
-        if g.has_edge(x, u):
-            seq = list(verts[:ix]) + list(reversed(verts[ix:]))
-            return _finish_cycle(g, seq, verts)
     u3_succ = sorted(verts[i + 1] for i in u3_pos)
     for x in v3_succ:
         ix = pos[x]
@@ -140,18 +146,6 @@ def rotation_to_cycle(g: Graph, path, s: int, t: int) -> Cycle:
         "no rotation case applies; the split is not hole-free or a "
         "precondition was violated"
     )
-
-
-def _cycle_through_pair(g: Graph, a: int, b: int) -> list[int]:
-    """A cycle through a and b; g is 2-connected."""
-    p1, p2 = g._two_disjoint_paths(a, b)
-    return p1 + p2[-2:0:-1]
-
-
-def _any_cycle(g: Graph) -> list[int]:
-    x = 0
-    y = min(g.neighbors(x))
-    return _cycle_through_pair(g, x, y)
 
 
 def cycle_through_heavy(g: Graph) -> Cycle:
@@ -176,12 +170,14 @@ def _cycle_through_heavy(g: Graph, cert: HoleCertificate) -> Cycle:
     threshold = cert.value
     heavy = [x for x in range(g.n) if g.degree(x) >= threshold]
 
-    if len(heavy) == 0:
-        seq = _any_cycle(g)
-    elif len(heavy) == 1:
-        seq = _cycle_through_pair(g, heavy[0], min(g.neighbors(heavy[0])))
-    elif len(heavy) == 2:
-        seq = _cycle_through_pair(g, heavy[0], heavy[1])
+    if len(heavy) < 3:
+        # Two internally disjoint (a, b)-paths close into a cycle through a
+        # and b: the two heavy vertices, else the heavy vertex or vertex 0
+        # and its lowest neighbor.
+        a = heavy[0] if heavy else 0
+        b = heavy[1] if len(heavy) == 2 else min(g.neighbors(a))
+        p1, p2 = g._two_disjoint_paths(a, b)
+        seq = p1 + p2[-2:0:-1]
     else:
         s, t = cert.hole_free_pair
         # Closure: join every nonadjacent heavy pair, so the heavy set is a

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import GraphError, ParseError
+from .errors import ParseError
 from .graph import MAX_VERTICES, Graph
 
 _HEADER = ">>graph6<<"
@@ -78,10 +78,8 @@ def write_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
         head = chr(n + 63)
-    elif n <= 258047:
+    else:  # n <= MAX_VERTICES, well inside the 18-bit class (n <= 258047)
         head = "~" + chr((n >> 12) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
-    else:
-        raise GraphError(f"order {n} exceeds the implemented graph6 size classes")
     out = [head]
     group = 0
     filled = 0

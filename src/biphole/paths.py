@@ -4,19 +4,33 @@ bipartite-hole-number plus one.
 Starting from a shortest (u, v)-path, each call of ``augment_once`` is one
 round that absorbs one more heavy vertex w lying off the path: connect w to
 the path by a shortest connector Q, pick the first heavy path vertex after
-the attachment point, and try the two template groups of the case split in
-order.  The connector group goes through Q: a direct jump to the pivot, a
-shared off-path neighbor, or a bridge crossing edge.  The anchored group
-handles the mid-path case.  Hole-freeness of the split (s, t) forces one of
-the scanned crossing edges to exist, and each template's formula yields a
-(u, v)-path that keeps every on-path heavy vertex and gains w.  Progress is
-therefore strict and the loop runs at most |H| times.
+the attachment point (the pivot), and try the two template groups of the
+case split in order.  Hole-freeness of the split (s, t) forces one of the
+scanned crossing edges to exist.  Each formula checks the edges it adds and
+keeps both ends and every on-path heavy vertex while gaining w, so the
+first candidate a group yields closes the round, progress is strict and
+the loop runs at most |H| times.  A candidate that gains nothing, or a
+round that no group closes, raises InternalInconsistencyError at once.  One
+BFS, ``_route``, finds both the first path and each connector.
 
-Each group yields its candidates in scan order, and the round keeps the
-first one that is valid (path property, endpoints, strict heavy gain).  A
-round that no template group closes raises InternalInconsistencyError at
-once, naming the case that failed.  One BFS, ``_route``, finds both the
-first path and each connector.
+Each remaining branch closes some round, and a test pins the smallest one
+whose output changes without it (graph6; every labeled graph with n <= 7
+searched):
+
+* the connector group: w joined to the pivot (``D]{``), an off-path
+  neighbor of w joined to it (``D]{``), or a neighbor of w joined to an
+  off-path pivot neighbor (``FB^n_``) or to the predecessor of an on-path
+  one before the attachment (``FB^n_``) or after the pivot (``FBx~_``);
+* the anchored group, scan A: the successor of an early w-neighbor joined
+  to an off-path pivot neighbor (``FBy~_``), to a pivot neighbor between
+  anchor and pivot (``FDzuo``), or to the predecessor of one after the pivot
+  (``Ev^g``); scan B: the predecessor of an early pivot neighbor joined to w
+  or its off-path neighbor (``D]{``) or to the predecessor of a late
+  w-neighbor (``FLvn_``); then w joined between anchor and pivot
+  (``FUxnG``);
+* re-anchoring Q on the pivot, which no labeled graph with n <= 7 reaches:
+  ``Hz]ksmY`` (twice, then a seen state stops it) and
+  ``Mbd{o^QJ]bhKS\\[Q?`` (once).
 """
 from __future__ import annotations
 
@@ -26,9 +40,8 @@ from .errors import (
     DegreeConditionError,
     DisconnectedError,
     InternalInconsistencyError,
-    WalkError,
 )
-from .graph import Graph, iter_bits, mask_of
+from .graph import Graph, mask_of
 from .holes import HoleCertificate, bipartite_hole_number
 from .walks import OrientedPath, is_path_sequence
 
@@ -103,7 +116,8 @@ def _through_connector(g, verts, pos, w, connector, p_pos, q_pos):
     """Absorption through the connector: a straight jump to the heavy pivot,
     a shared off-path neighbor, then a crossing edge from a free neighbor of
     w to a neighbor-of-the-pivot slot (an off-path neighbor of the pivot, or
-    the predecessor of an on-path one; four rerouting formulas by position).
+    the predecessor of an on-path one before the attachment or after the
+    pivot; three rerouting formulas).
     """
     vq = verts[q_pos]
     q_set = set(connector)
@@ -123,7 +137,7 @@ def _through_connector(g, verts, pos, w, connector, p_pos, q_pos):
     pred_pos = sorted(
         pos[z] - 1
         for z in g.neighbors(vq)
-        if z in pos and pos[z] >= 1 and pos[z] - 1 != p_pos
+        if z in pos and (0 < pos[z] <= p_pos or pos[z] > q_pos)
     )
     for x in xs:
         for j in pred_pos:
@@ -137,12 +151,10 @@ def _through_connector(g, verts, pos, w, connector, p_pos, q_pos):
                     reversed(verts[j + 1 : p_pos + 1]),
                     tail,
                 )
-            elif j >= q_pos:
+            else:
                 yield _chain(
                     head, [x], reversed(verts[q_pos : j + 1]), verts[j + 1 :]
                 )
-            else:
-                yield _chain(head, [x], verts[j:])
 
 
 def _anchored(g, verts, pos, w, wp_pos, r_pos, q2):
@@ -247,19 +259,18 @@ def augment_once(
     pos = {x: i for i, x in enumerate(verts)}
     had = (heavy_mask & on_mask).bit_count()
 
-    def first_valid(candidates):
-        for seq in candidates:
-            if seq[0] != verts[0] or seq[-1] != verts[-1]:
-                continue
-            if (heavy_mask & mask_of(seq)).bit_count() <= had:
-                continue
-            try:
-                return OrientedPath(g, seq)
-            except WalkError:
-                pass
-        return None
+    def first(candidates):
+        # Each formula keeps both ends and every heavy path vertex, adds w
+        # and checks the edges it adds, so the first candidate closes the
+        # round; one that is not a path, or gains nothing, is a bug.
+        seq = next(candidates, None)
+        if seq is None:
+            return None
+        if (heavy_mask & mask_of(seq)).bit_count() <= had:
+            raise InternalInconsistencyError(f"template gained no heavy vertex: {seq}")
+        return OrientedPath(g, seq)
 
-    better = first_valid(_through_connector(g, verts, pos, w, connector, p_pos, q_pos))
+    better = first(_through_connector(g, verts, pos, w, connector, p_pos, q_pos))
     if better is not None:
         return better
     wp_pos = [i for i, x in enumerate(verts) if g.has_edge(w, x)]
@@ -270,7 +281,7 @@ def augment_once(
     else:
         r_pos = wp_pos[s]
         q2 = next(i for i in range(r_pos + 1, k) if heavy_mask >> verts[i] & 1)
-        better = first_valid(_anchored(g, verts, pos, w, wp_pos, r_pos, q2))
+        better = first(_anchored(g, verts, pos, w, wp_pos, r_pos, q2))
         if better is not None:
             return better
         case = f"no anchored template around positions {r_pos} and {q2}"
@@ -282,10 +293,12 @@ def augment_once(
 
 def heavy_path(g: Graph, u: int, v: int) -> OrientedPath:
     """A (u, v)-path containing every vertex of degree at least the
-    bipartite-hole-number plus one.
+    bipartite-hole-number k plus one.
 
-    Both endpoints must meet that degree bound, and all such vertices must
-    share a component with them.
+    Both endpoints must meet that degree bound.  All such vertices then lie
+    in one component: two of them in different components would each bring
+    a component of at least k + 2 vertices, and an S from one with a T from
+    the other would give an (s, t)-hole for every split s + t = k + 1.
     """
     _check_endpoints(g, u, v)
     return _heavy_path(g, u, v, bipartite_hole_number(g))
@@ -301,14 +314,6 @@ def _heavy_path(g: Graph, u: int, v: int, cert: HoleCertificate) -> OrientedPath
             f"d({u}) = {g.degree(u)}, d({v}) = {g.degree(v)}"
         )
     heavy_mask = mask_of(x for x in range(g.n) if g.degree(x) >= threshold)
-    comp_mask = sum(g.layers(1 << u))  # disjoint layers: the sum is the union
-    if not comp_mask >> v & 1:
-        raise DisconnectedError(f"{u} and {v} lie in different components")
-    if heavy_mask & ~comp_mask:
-        outside = list(iter_bits(heavy_mask & ~comp_mask))
-        raise DisconnectedError(
-            f"heavy vertices {outside} unreachable from the endpoints"
-        )
 
     if cert.value == 1:
         # Hole-number 1 means a complete graph; spell out a Hamilton path.
@@ -317,12 +322,8 @@ def _heavy_path(g: Graph, u: int, v: int, cert: HoleCertificate) -> OrientedPath
 
     s = cert.hole_free_pair[0]
     path = initial_path(g, u, v)
-    for _ in range(heavy_mask.bit_count() + 1):
-        if not heavy_mask & ~mask_of(path.vertices):
-            break
+    while heavy_mask & ~mask_of(path.vertices):
         path = augment_once(g, path, heavy_mask, s)
-    else:
-        raise InternalInconsistencyError("absorption loop failed to converge")
 
     if path.first != u:
         path = path.flip()

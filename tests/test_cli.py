@@ -1,4 +1,7 @@
+import io
 import json
+
+import pytest
 
 from biphole import complete, parse_graph6, write_graph6
 from biphole.cli import main
@@ -33,8 +36,6 @@ def test_alpha_graph6_and_stdin(capsys, monkeypatch):
     g6 = write_graph6(complete(4))
     code, out, _ = run(capsys, "alpha", "--graph6", g6)
     assert code == 0 and out.strip() == "1"
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(g6 + "\n"))
     code, out, _ = run(capsys, "alpha")
     assert code == 0 and out.strip() == "1"
@@ -103,6 +104,45 @@ def test_dot_output(tmp_path, capsys):
     assert text.count("color=red") == 5
 
 
+def test_path_dot_output(tmp_path, capsys):
+    # An open walk: its vertices and the edges along it, but no closing edge.
+    dot = tmp_path / "out.dot"
+    code, out, _ = run(
+        capsys, "path", "--family", "complete,4", "--from", "0", "--to", "3",
+        "--dot", str(dot),
+    )
+    assert code == 0 and out == "0 1 2 3\n"
+    text = dot.read_text(encoding="utf-8")
+    assert text.count("fillcolor=lightblue") == 4
+    assert text.count("color=red") == 3
+    assert "0 -- 3 [color=red" not in text
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (["alpha", "--graph6", "C~", "--family", "cycle,4"], None,
+         "give at most one of --graph6, --edges, --family"),
+        (["alpha", "--family", "cycle,x"], None,
+         "bad family parameters: invalid literal for int() with base 10: 'x'"),
+        (["alpha"], "\n", "no graph given and stdin is empty"),
+        (["sweep", "--random", "1,5,1/2"], None,
+         "--random wants COUNT,N,P,SEED (P like 1/2)"),
+        (["sweep", "--random", "1,5,1/2/3,0"], None, "probability must look like 1/2"),
+        (["sweep"], None, "give exactly one of --enumerate, --random, --graph6-file"),
+        (["sweep", "--enumerate", "3", "--random", "1,5,1/2,0"], None,
+         "give exactly one of --enumerate, --random, --graph6-file"),
+    ],
+    ids=["two-inputs", "family-params", "empty-stdin", "random-arity",
+         "random-probability", "no-source", "two-sources"],
+)
+def test_input_errors_exit_4(capsys, monkeypatch, argv, stdin, message):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
 def test_check_command(capsys):
     code, out, _ = run(
         capsys, "check", "--family", "complete,4", "--conditions", "dirac,my"
@@ -152,6 +192,18 @@ def test_sweep_random_with_jobs(capsys):
     doc = json.loads(out)
     assert doc["properties"]["g6-roundtrip"]["checked"] == 30
     assert doc["failures"] == []
+
+
+def test_sweep_random_integer_probability(capsys):
+    # P given as a bare integer: 1 draws complete graphs, 0 edgeless ones.
+    for p, fan in (("1", 3), ("0", 0)):
+        code, out, _ = run(
+            capsys, "sweep", "--random", f"3,5,{p},7", "--properties", "fan-ham"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["source"] == f"random:3,5,{p},7"
+        assert doc["properties"]["fan-ham"] == {"checked": fan, "skipped": 3 - fan, "failures": 0}
 
 
 def test_sweep_jobs_below_one_exit_4(capsys):

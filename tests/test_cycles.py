@@ -135,6 +135,29 @@ def test_cycle_through_heavy_c5():
     assert list(out.vertices) == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize(
+    "g6, heavy, expected",
+    [
+        # One heavy vertex: a cycle through it and its lowest neighbor, 2.
+        ("E\\r?", [0], (0, 2, 3)),
+        # Two heavy vertices: a cycle through both, where one through 0 and
+        # its lowest neighbor would be 0-2-3.
+        ("E^r?", [0, 1], (0, 2, 1, 3)),
+    ],
+    ids=["one-heavy", "two-heavy"],
+)
+def test_one_or_two_heavy_vertices_need_no_rotation(monkeypatch, g6, heavy, expected):
+    g = parse_graph6(g6)
+    k = hole_number(g)
+    assert [x for x in range(g.n) if g.degree(x) >= k] == heavy
+
+    def forbidden(*args):
+        raise AssertionError("rotation with fewer than three heavy vertices")
+
+    monkeypatch.setattr(cycles_mod, "rotation_to_cycle", forbidden)
+    assert cycle_through_heavy(g).vertices == expected
+
+
 def test_cycle_through_heavy_k4_minus_edge():
     out = cycle_through_heavy(K4_MINUS_EDGE)
     assert len(out) == 4

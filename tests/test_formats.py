@@ -35,10 +35,14 @@ def test_graph6_header_and_newline():
 
 
 def test_graph6_large_order():
-    g = empty(100)
-    s = write_graph6(g)
-    assert s.startswith("~")
-    assert parse_graph6(s) == g
+    # 62 is the last order of the one-byte size class; from 63 up to
+    # MAX_VERTICES = 512 the order is "~" and three 6-bit bytes.
+    for n, head in [(62, "}"), (63, "~??~"), (100, "~?@c"), (512, "~?G?")]:
+        for g in (empty(n), path(n)):
+            s = write_graph6(g)
+            assert s[: len(head)] == head
+            assert len(s) == len(head) + -(-n * (n - 1) // 12)
+            assert parse_graph6(s) == g
 
 
 @pytest.mark.parametrize(

@@ -96,6 +96,34 @@ def test_validate_certificate_rejects_holed_pair():
     assert not validate_certificate(g, bogus)
 
 
+def test_validate_certificate_rejects_malformed_certificates():
+    g = petersen()
+    cert = bipartite_hole_number(g)
+    assert (cert.value, cert.hole_free_pair) == (5, (3, 3))
+    ws = cert.level_witnesses
+    for bogus in [
+        # s + t must be k + 1.
+        dataclasses.replace(cert, hole_free_pair=(3, 4)),
+        dataclasses.replace(cert, value=6),
+        # One witness per split of k.
+        dataclasses.replace(cert, level_witnesses=ws[:-1]),
+        dataclasses.replace(cert, level_witnesses=ws + ws[:1]),
+        # The (1, 4) witness turned round: still a hole, but a (4, 1) one.
+        dataclasses.replace(cert, level_witnesses=(ws[0].swapped(), *ws[1:])),
+    ]:
+        assert not validate_certificate(g, bogus)
+
+
+def test_hole_witness_rejects_malformed_sides():
+    g = empty(4)
+    assert HoleWitness(frozenset({0, 1}), frozenset({2, 3})).is_valid(g)
+    assert not HoleWitness(frozenset(), frozenset({1})).is_valid(g)
+    assert not HoleWitness(frozenset({1}), frozenset()).is_valid(g)
+    assert not HoleWitness(frozenset({0, 1}), frozenset({1, 2})).is_valid(g)
+    assert not HoleWitness(frozenset({0}), frozenset({4})).is_valid(g)
+    assert not HoleWitness(frozenset({9}), frozenset({0})).is_valid(g)
+
+
 def test_certificate_smallest_s_first():
     assert bipartite_hole_number(cycle(5)).hole_free_pair == (1, 3)
     assert bipartite_hole_number(complete(4)).hole_free_pair == (1, 1)

@@ -9,6 +9,8 @@ from biphole import (
     DisconnectedError,
     Graph,
     InternalInconsistencyError,
+    OrientedPath,
+    bipartite_hole_number,
     brute_path_through_set,
     complete,
     cycle,
@@ -16,6 +18,7 @@ from biphole import (
     heavy_path,
     hole_number,
     initial_path,
+    parse_graph6,
     path,
     verify_heavy_path,
 )
@@ -55,6 +58,7 @@ def test_verify_heavy_path():
     assert not verify_heavy_path(k4, [0, 1, 3], 0, 3, 2)  # misses heavy 2
     assert not verify_heavy_path(path(3), [0, 2], 0, 2, 0)  # non-edge
     assert verify_heavy_path(k4, [3, 1, 2, 0], 0, 3, 2)  # reverse orientation ok
+    assert not verify_heavy_path(k4, [0, 1, 3, 2], 0, 3, 2)  # ends at 2, not 3
 
 
 def test_heavy_path_complete():
@@ -86,9 +90,43 @@ def test_heavy_path_absorbs_everything():
 def test_heavy_path_disconnected():
     g = Graph(8, [(u, v) for u in range(4) for v in range(u + 1, 4)]
               + [(u, v) for u in range(4, 8) for v in range(u + 1, 8)])
-    # Two K4 blocks: hole-number is driven across components.
-    with pytest.raises((DisconnectedError, DegreeConditionError)):
+    # Two K4 blocks: every split of 5 has a hole across the blocks and
+    # (1, 5) has none, so the hole-number is 5 and no vertex reaches degree 6.
+    assert hole_number(g) == 5
+    with pytest.raises(DegreeConditionError):
         heavy_path(g, 0, 5)
+
+
+def _disconnected_corpus():
+    # Sparse G(n, 1/6), and a dense G(a, 3/4) beside a G(b, 1/2).
+    for i in range(600):
+        yield erdos_renyi(6 + i % 9, 1, 6, 3000 + i)
+    for i in range(300):
+        a, b = 3 + i % 6, 1 + i % 4
+        dense = erdos_renyi(a, 3, 4, 4000 + i)
+        other = erdos_renyi(b, 1, 2, 5000 + i)
+        yield Graph(
+            a + b,
+            [*dense.edges(), *((x + a, y + a) for x, y in other.edges())],
+        )
+
+
+def test_heavy_vertices_share_one_component():
+    # Vertices x, y of degree >= k + 1 (k the hole-number) in different
+    # components would give an (s, t)-hole for every split s + t = k + 1: S
+    # from x's component and T from y's, each of at least k + 2 vertices.
+    # So heavy_path needs no component check of its own.
+    spread = 0
+    graphs = [g for n in range(1, 7) for g in enumerate_labeled(n)]
+    for g in [*graphs, *_disconnected_corpus()]:
+        threshold = hole_number(g) + 1
+        heavy = mask_of(x for x in range(g.n) if g.degree(x) >= threshold)
+        if heavy:
+            x = (heavy & -heavy).bit_length() - 1
+            component = sum(g.layers(1 << x))
+            assert heavy & ~component == 0
+            spread += component != (1 << g.n) - 1
+    assert spread > 100  # disconnected graphs with heavy vertices occur
 
 
 def test_heavy_path_rejects_same_endpoints():
@@ -200,6 +238,84 @@ def test_round_without_template_raises_at_once():
     with pytest.raises(InternalInconsistencyError, match="on-path neighbors"):
         paths_mod.augment_once(g, p, 0b1101, 1)
     assert paths_mod.DIAGNOSTICS["fallback"] == before + 1
+
+
+@pytest.mark.parametrize(
+    "g6, path_seq, heavy, s, expected",
+    [
+        # _through_connector, in scan order.  w joined to the pivot.
+        ("D]{", [2, 4], [0, 1, 2, 3, 4], 1, (2, 0, 4)),
+        # An off-path neighbor of w joined to the pivot.
+        ("D]{", [0, 2], [0, 1, 2, 3, 4], 1, (2, 1, 3, 0)),
+        # A neighbor of w joined to an off-path neighbor of the pivot.
+        ("FB^n_", [4, 1, 3, 2], [1, 2, 3, 4, 5, 6], 2, (4, 1, 5, 0, 6, 3, 2)),
+        # ... to the predecessor of a pivot neighbor before the attachment.
+        ("FB^n_", [3, 2, 5, 1, 4], [1, 2, 3, 4, 5, 6], 2, (3, 2, 5, 0, 6, 1, 4)),
+        # ... to the predecessor of a pivot neighbor after the pivot.
+        ("FBx~_", [1, 5, 4, 2, 3], [1, 2, 3, 4, 5, 6], 2, (1, 6, 0, 4, 5, 2, 3)),
+        # _anchored, scan A: the successor x of an early w-neighbor joined
+        # to an off-path pivot neighbor, to a pivot neighbor between anchor
+        # and pivot, or to the predecessor of one after the pivot.
+        ("FBy~_", [3, 2, 4, 0, 6], [2, 3, 4, 5, 6], 2, (3, 2, 5, 4, 1, 6)),
+        ("FDzuo", [0, 5, 1, 4, 2, 3], [0, 3, 4, 5, 6], 2, (0, 5, 1, 6, 4, 2, 3)),
+        ("Ev^g", [1, 0, 3, 2, 5], [0, 1, 2, 3, 4, 5], 1, (1, 4, 3, 0, 2, 5)),
+        # Scan B: the predecessor x of an early pivot neighbor joined to w
+        # or an off-path neighbor of w, or to the predecessor of a late
+        # w-neighbor.
+        ("D]{", [4, 1, 2, 0], [0, 1, 2, 3, 4], 1, (0, 3, 1, 2, 4)),
+        ("FLvn_", [0, 4, 5, 1, 2, 3], [0, 1, 2, 3, 4, 5, 6], 1, (0, 4, 5, 2, 1, 6, 3)),
+        # w joined to a path vertex between anchor and pivot.
+        ("FUxnG", [6, 1, 3, 0, 4, 2], [0, 1, 2, 4, 5, 6], 2, (6, 1, 3, 0, 4, 5, 2)),
+    ],
+    ids=[
+        "connector-direct", "connector-shared", "connector-crossing",
+        "connector-before", "connector-after", "scan-a-off-path",
+        "scan-a-between", "scan-a-after", "scan-b-w-side", "scan-b-after",
+        "anchored-direct",
+    ],
+)
+def test_each_template_formula_closes_its_smallest_round(g6, path_seq, heavy, s, expected):
+    # For each formula, the smallest round (fewest vertices, then edges and
+    # path length, over every labeled graph with n <= 7) that it closes and
+    # whose output changes without it; taken from heavy_path, so s is the
+    # graph's hole-free s.
+    g = parse_graph6(g6)
+    cert = bipartite_hole_number(g)
+    assert heavy == [x for x in range(g.n) if g.degree(x) > cert.value]
+    assert s == cert.hole_free_pair[0]
+    out = paths_mod.augment_once(g, OrientedPath(g, path_seq), mask_of(heavy), s)
+    assert out.vertices == expected
+
+
+def test_template_without_progress_raises(monkeypatch):
+    # A formula that hands back a candidate gaining no heavy vertex is a
+    # bug; the round raises instead of trying the next candidate.
+    g = parse_graph6("D]{")
+    p = OrientedPath(g, [2, 4])
+    monkeypatch.setattr(
+        paths_mod, "_through_connector", lambda *args: iter([[2, 4], [2, 0, 4]])
+    )
+    with pytest.raises(InternalInconsistencyError, match="gained no heavy vertex"):
+        paths_mod.augment_once(g, p, 0b11111, 1)
+
+
+@pytest.mark.parametrize(
+    "g6, n, p, seed, pair, expected",
+    [
+        # Re-anchors twice, then meets a state it has seen and stops.
+        ("Hz]ksmY", 9, (2, 3), 9887, (3, 4), (3, 1, 0, 2, 4)),
+        # One re-anchor; without it the path is 1-5-7-4-3-8.
+        (r"Mbd{o^QJ]bhKS\[Q?", 14, (1, 2), 52175, (1, 8), (1, 3, 5, 7, 6, 8)),
+    ],
+    ids=["seen-state-stop", "one-re-anchor"],
+)
+def test_connector_re_anchoring(g6, n, p, seed, pair, expected):
+    # While the connector's second vertex touches the first heavy vertex
+    # after its attachment, the round moves the attachment there.  No
+    # labeled graph with n <= 7 does this.
+    g = parse_graph6(g6)
+    assert erdos_renyi(n, *p, seed) == g
+    assert heavy_path(g, *pair).vertices == expected
 
 
 def test_progress_strict():
