@@ -13,9 +13,14 @@ The certificate search ascends the levels k + 1 = 2, 3, ... with one
 lexicographic cursor per s.  From one level to the next t = k + 1 - s grows
 and the limit n - t falls, so the first fitting s-set can only move forward:
 each split resumes where its s last stopped, a cursor whose set still fits
-is not advanced, and no s-set is scanned twice in one certificate.  The
-holes found one level below are the lower-bound witnesses, with the sides
-swapped for s' > k/2.
+is not advanced, and no s-set is scanned twice in one certificate.  A
+cursor walks the (s-1)-prefixes in lexicographic order, ORs each prefix's
+closed masks once and extends it by every later vertex j, one OR per s-set;
+(prefix, j) is ``combinations`` order, so the scan meets the s-sets of a
+plain lexicographic scan in the same order.  It does not skip a prefix
+whose union is already too large, so every s-set before the answer is
+evaluated.  The holes found one level below are the lower-bound witnesses,
+with the sides swapped for s' > k/2.
 
 The naive oracles are the independent anchor for n <= 14 and call none of
 the above: for each s-set S in lexicographic order they walk the
@@ -96,33 +101,50 @@ def min_closed_neighborhood(g: Graph, s: int) -> tuple[int, frozenset[int]]:
     return best, frozenset(best_set)
 
 
+def _fitting_sets(closed: list[int], s: int):
+    """The s-sets S with |N[S]| at most the limit last sent, with their
+    closed masks, in ``combinations`` order.
+
+    The scan walks the (s-1)-prefixes and ORs each prefix's closed masks
+    once; extending the prefix by a later vertex j then costs one OR per
+    s-set, and (prefix, j) runs through the s-sets in exactly
+    ``combinations`` order.  A set is yielded again for as long as it still
+    fits, and each size is taken once."""
+    n = len(closed)
+    limit = yield
+    for prefix in combinations(range(n - 1), s - 1):
+        union = 0
+        for v in prefix:
+            union |= closed[v]
+        for j in range(prefix[-1] + 1 if prefix else 0, n):
+            m = union | closed[j]
+            size = m.bit_count()
+            while size <= limit:
+                limit = yield prefix + (j,), m
+
+
 class _Cursor:
     """A lexicographic scan of the s-subsets for the first S with |N[S]| at
     most a limit.  Successive limits must not rise, so the first fitting set
-    only moves forward and each ``seek`` resumes where the last one stopped."""
+    only moves forward and each ``seek`` resumes where the last one stopped;
+    the paused ``_fitting_sets`` generator holds the place."""
 
-    __slots__ = ("_closed", "_subsets", "subset", "mask")
+    __slots__ = ("_sets", "subset", "mask")
 
     def __init__(self, closed: list[int], s: int):
-        self._closed = closed
-        self._subsets = combinations(range(len(closed)), s)
+        self._sets = _fitting_sets(closed, s)
+        next(self._sets)
         self.subset: tuple[int, ...] | None = None
         self.mask = 0
 
     def seek(self, limit: int) -> bool:
         """Stop at the first s-set S with |N[S]| <= limit; False if none is left."""
-        if self.subset is not None and self.mask.bit_count() <= limit:
-            return True
-        closed = self._closed
-        for subset in self._subsets:
-            m = 0
-            for v in subset:
-                m |= closed[v]
-            if m.bit_count() <= limit:
-                self.subset, self.mask = subset, m
-                return True
-        self.subset = None
-        return False
+        try:
+            self.subset, self.mask = self._sets.send(limit)
+        except StopIteration:
+            self.subset = None
+            return False
+        return True
 
 
 def _witness(n: int, subset: tuple[int, ...], mask: int, t: int) -> HoleWitness:

@@ -226,7 +226,9 @@ def augment_once(
     so the attachment is not its far end, and Q is re-anchored while its
     inner end touches the first heavy vertex after the attachment.  A round
     that no template group closes raises InternalInconsistencyError naming
-    the failed case.
+    the failed case.  ValueError if no heavy vertex is off the path, or if no
+    heavy vertex of the path follows the attachment; ``heavy_path`` meets
+    neither, since both ends of its paths are heavy.
     """
     on_mask = mask_of(path.vertices)
     missing = heavy_mask & ~on_mask
@@ -245,8 +247,10 @@ def augment_once(
         verts = path.vertices
         p_pos = verts.index(connector[0])
         q_pos = next(
-            i for i in range(p_pos + 1, len(verts)) if heavy_mask >> verts[i] & 1
+            (i for i in range(p_pos + 1, len(verts)) if heavy_mask >> verts[i] & 1), None
         )
+        if q_pos is None:
+            raise ValueError(f"no heavy vertex follows the attachment {connector[0]}")
         vq = verts[q_pos]
         if len(connector) < 3 or not g.has_edge(connector[1], vq):
             break

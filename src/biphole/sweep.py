@@ -13,7 +13,6 @@ can be replayed.
 """
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -305,6 +304,9 @@ def _run(properties, jobs: int, graphs, total: int, task) -> SweepResult:
         next(graphs, None)  # an enumeration's order gate raises here
         chunk = max(1, total // (jobs * 8))
         tasks = [task(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+        # Imported here, so that runs without a pool do not pay ~1.3 MiB for it.
+        import multiprocessing
+
         with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
             for part in pool.imap_unordered(_run_batch, tasks):
                 result.merge(part)

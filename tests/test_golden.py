@@ -7,8 +7,10 @@ import json
 
 from biphole import (
     ConditionReport,
+    bipartite_hole_number,
     condition_names,
     cycle_through_heavy,
+    find_hole,
     heavy_path,
     hole_number,
     run_condition,
@@ -25,6 +27,13 @@ GOLDEN_SHA256 = "2841a1d2a2b6add294ddafdf8308c7db0840e72cb60210e517712d7395ea2c0
 # 3,583 anchored).  The n <= 5 corpus above never reaches the bridge.
 CONSTRUCTION_SHA256 = "9f04dc9f8ab9ba387c93824d1f10e3c7637cb319321f2dcda38b32d486c278fa"
 CONSTRUCTION_P = ((1, 2), (2, 3), (3, 4), (1, 3))
+
+# Certificates (value, hole-free pair, each level witness's sorted sides) and
+# the find_hole answers for s, t <= 3 on every labeled graph with 1 <= n <= 6
+# plus 400 seeded G(n, p) with n = 7..16: 34,267 graphs.  Pinned before the
+# certificate scan shared its prefix unions, and unchanged by it.
+CERTIFICATE_SHA256 = "8fc505b0e7ab204aad2445879482c1e6196c19191968368d0e9dd67b0eadd182"
+CERTIFICATE_P = ((1, 2), (1, 4), (3, 4), (1, 3))
 
 
 def _answer(fn, *args):
@@ -58,6 +67,25 @@ def _lines():
     yield json.dumps([sweep.checked, sweep.skipped, sweep.failures], sort_keys=True)
 
 
+def _sides(w):
+    return f"{sorted(w.s_side)}|{sorted(w.t_side)}"
+
+
+def _certificate_lines():
+    corpus = [g for n in range(1, 7) for g in enumerate_labeled(n)]
+    corpus += [erdos_renyi(7 + i % 10, *CERTIFICATE_P[i % 4], 11000 + i) for i in range(400)]
+    for g in corpus:
+        cert = bipartite_hole_number(g)
+        s, t = cert.hole_free_pair
+        witnesses = " ".join(map(_sides, cert.level_witnesses))
+        yield f"{write_graph6(g)} {cert.value} {s},{t} {witnesses}"
+        yield " ".join(
+            "-" if (w := find_hole(g, a, b)) is None else _sides(w)
+            for a in range(1, 4)
+            for b in range(1, 4)
+        )
+
+
 def test_outputs_match_pinned_digest():
     digest = hashlib.sha256("\n".join(_lines()).encode()).hexdigest()
     assert digest == GOLDEN_SHA256
@@ -71,3 +99,10 @@ def test_constructions_match_pinned_digest():
     assert sum(" path " in line for line in lines) == 14092
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CONSTRUCTION_SHA256
+
+
+def test_certificates_match_pinned_digest():
+    lines = list(_certificate_lines())
+    assert len(lines) == 2 * 34267
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CERTIFICATE_SHA256

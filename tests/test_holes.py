@@ -4,7 +4,8 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import biphole.holes as holes_mod
 from biphole import (
@@ -247,20 +248,80 @@ def test_cursor_ascent_matches_reference_on_seeded_graphs():
         assert bipartite_hole_number(g) == _reference_certificate(g)
 
 
+class _Tracked(int):
+    """A closed mask that knows which vertices' masks were ORed into it and
+    records that vertex set each time its size is taken."""
+
+    log: list = []
+
+    def __new__(cls, value, members):
+        obj = super().__new__(cls, value)
+        obj.members = members
+        return obj
+
+    def __or__(self, other):
+        return _Tracked(int(self) | int(other), self.members | getattr(other, "members", frozenset()))
+
+    __ror__ = __or__
+
+    def bit_count(self):
+        self.log.append(tuple(sorted(self.members)))
+        return int(self).bit_count()
+
+
 def test_certificate_scans_each_subset_at_most_once(monkeypatch):
-    scanned = []
-    real = holes_mod.combinations
-
-    def recording(items, r):
-        for subset in real(items, r):
-            scanned.append(subset)
-            yield subset
-
-    monkeypatch.setattr(holes_mod, "combinations", recording)
+    # Every s-set the search evaluates has its |N[S]| taken once; per s the
+    # evaluated sets must be the first ones of ``combinations`` order, each
+    # once, with none skipped.
+    real = holes_mod._closed_masks
+    monkeypatch.setattr(
+        holes_mod,
+        "_closed_masks",
+        lambda g: [_Tracked(m, frozenset({v})) for v, m in enumerate(real(g))],
+    )
     for g in [petersen(), cycle(9), erdos_renyi(14, 1, 4, 3), erdos_renyi(16, 1, 2, 5)]:
-        scanned.clear()
+        _Tracked.log = []
         bipartite_hole_number(g)
-        assert scanned and len(scanned) == len(set(scanned))
+        by_size = {}
+        for subset in _Tracked.log:
+            by_size.setdefault(len(subset), []).append(subset)
+        assert sum(map(len, by_size.values())) > g.n
+        for s, seen in by_size.items():
+            assert seen == list(combinations(range(g.n), s))[: len(seen)]
+
+
+@st.composite
+def _cursor_runs(draw):
+    g = draw(graphs(min_n=1, max_n=8))
+    s = draw(st.sampled_from([1, g.n, *range(1, g.n + 1)]))
+    limits = draw(st.lists(st.integers(-1, g.n + 1), min_size=1, max_size=6))
+    return g, s, sorted(limits, reverse=True)
+
+
+def _first_fit(g, s, limit):
+    for subset in combinations(range(g.n), s):
+        closed = g.closed_neighborhood_mask(mask_of(subset))
+        if closed.bit_count() <= limit:
+            return subset, closed
+    return None
+
+
+@given(_cursor_runs())
+@settings(max_examples=300, deadline=None)
+@example((complete(1), 1, [1, 0, 0]))  # s = 1 = n
+@example((cycle(5), 1, [3, 2, 2]))  # s = 1, then two failed seeks
+@example((cycle(5), 5, [5, 4, 4]))  # s = n, then two failed seeks
+@example((path(5), 2, [5, 4, 3, 3, 2]))  # a set that still fits is kept
+def test_cursor_returns_the_first_fitting_set(run):
+    # Under non-increasing limits a cursor answers as a fresh lexicographic
+    # scan would, also after a seek that failed.
+    g, s, limits = run
+    cursor = holes_mod._Cursor(holes_mod._closed_masks(g), s)
+    for limit in limits:
+        expected = _first_fit(g, s, limit)
+        assert cursor.seek(limit) == (expected is not None)
+        if expected is not None:
+            assert (cursor.subset, cursor.mask) == expected
 
 
 def _reference_naive_hole(g, s, t):

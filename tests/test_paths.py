@@ -240,6 +240,16 @@ def test_round_without_template_raises_at_once():
     assert paths_mod.DIAGNOSTICS["fallback"] == before + 1
 
 
+def test_round_without_heavy_vertex_after_attachment_raises_value_error():
+    # Heavy vertex 2 attaches at 0 and nothing heavy follows on 0-1: a bad
+    # argument, refused before any template group runs.
+    g = complete(4)
+    before = paths_mod.DIAGNOSTICS["fallback"]
+    with pytest.raises(ValueError, match="no heavy vertex follows the attachment 0"):
+        paths_mod.augment_once(g, OrientedPath(g, [0, 1]), 0b0100, 1)
+    assert paths_mod.DIAGNOSTICS["fallback"] == before
+
+
 @pytest.mark.parametrize(
     "g6, path_seq, heavy, s, expected",
     [

@@ -75,7 +75,7 @@ def test_failures_are_replayable_and_sorted(monkeypatch):
 
 def _inline_pool(monkeypatch, sizes, tasks):
     """Run the pool's work in-process, recording its size and its tasks."""
-    import biphole.sweep as sweep_mod
+    import multiprocessing
 
     class InlinePool:
         def __init__(self, processes):
@@ -95,7 +95,7 @@ def _inline_pool(monkeypatch, sizes, tasks):
     class InlineContext:
         Pool = InlinePool
 
-    monkeypatch.setattr(sweep_mod.multiprocessing, "get_context", lambda method: InlineContext())
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: InlineContext())
 
 
 def test_jobs_clamped_before_pool(monkeypatch):
@@ -205,3 +205,20 @@ def test_roundtrip_only_sweep_analyses_nothing(monkeypatch):
     monkeypatch.setattr(Graph, "is_two_connected", forbidden)
     result = run_enumerated(4, ["g6-roundtrip"])
     assert result.ok and result.checked == {"g6-roundtrip": 64}
+
+
+def test_import_does_not_load_multiprocessing():
+    # Only the worker pool of ``--jobs`` above 1 needs it; every other run
+    # would pay its import in memory and start-up time.
+    import subprocess
+    import sys
+
+    import biphole
+
+    src = os.path.dirname(os.path.dirname(biphole.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import biphole, biphole.cli; "
+        "print('multiprocessing' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
