@@ -136,7 +136,8 @@ def enumerate_labeled(
     Bit i of the mask is the i-th pair in lexicographic order; ``masks``
     restricts the stream to a range of edge masks.  Gated at
     n <= 6 by default (n = 7, 8 need allow_large; beyond that the stream is
-    astronomically long).
+    astronomically long); the gate raises at the call, before any graph or
+    mask count is built.
     """
     gate = ENUMERATION_HARD_GATE if allow_large else ENUMERATION_DEFAULT_GATE
     if n < 0 or n > gate:
@@ -145,7 +146,11 @@ def enumerate_labeled(
             + ("" if allow_large else " (pass allow_large=True for 7..8)")
         )
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for mask in range(1 << len(pairs)) if masks is None else masks:
+    return _graphs_of_masks(n, pairs, range(1 << len(pairs)) if masks is None else masks)
+
+
+def _graphs_of_masks(n: int, pairs: list[tuple[int, int]], masks: range) -> Iterator[Graph]:
+    for mask in masks:
         adj = [0] * n
         m = mask
         while m:

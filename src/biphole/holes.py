@@ -102,14 +102,17 @@ def min_closed_neighborhood(g: Graph, s: int) -> tuple[int, frozenset[int]]:
 
 
 def _fitting_sets(closed: list[int], s: int):
-    """The s-sets S with |N[S]| at most the limit last sent, with their
-    closed masks, in ``combinations`` order.
+    """A lexicographic cursor over the s-subsets: primed with ``next``, each
+    ``send(limit)`` answers the first s-set S with |N[S]| <= limit and its
+    closed mask, or None once no set is left.  Successive limits must not
+    rise, so the first fitting set only moves forward and each send resumes
+    where the last one stopped; nothing may be sent after a None.
 
     The scan walks the (s-1)-prefixes and ORs each prefix's closed masks
     once; extending the prefix by a later vertex j then costs one OR per
     s-set, and (prefix, j) runs through the s-sets in exactly
-    ``combinations`` order.  A set is yielded again for as long as it still
-    fits, and each size is taken once."""
+    ``combinations`` order.  A set is answered again for as long as it
+    still fits, and each size is taken once."""
     n = len(closed)
     limit = yield
     for prefix in combinations(range(n - 1), s - 1):
@@ -121,30 +124,7 @@ def _fitting_sets(closed: list[int], s: int):
             size = m.bit_count()
             while size <= limit:
                 limit = yield prefix + (j,), m
-
-
-class _Cursor:
-    """A lexicographic scan of the s-subsets for the first S with |N[S]| at
-    most a limit.  Successive limits must not rise, so the first fitting set
-    only moves forward and each ``seek`` resumes where the last one stopped;
-    the paused ``_fitting_sets`` generator holds the place."""
-
-    __slots__ = ("_sets", "subset", "mask")
-
-    def __init__(self, closed: list[int], s: int):
-        self._sets = _fitting_sets(closed, s)
-        next(self._sets)
-        self.subset: tuple[int, ...] | None = None
-        self.mask = 0
-
-    def seek(self, limit: int) -> bool:
-        """Stop at the first s-set S with |N[S]| <= limit; False if none is left."""
-        try:
-            self.subset, self.mask = self._sets.send(limit)
-        except StopIteration:
-            self.subset = None
-            return False
-        return True
+    yield None
 
 
 def _witness(n: int, subset: tuple[int, ...], mask: int, t: int) -> HoleWitness:
@@ -172,10 +152,10 @@ def find_hole(g: Graph, s: int, t: int) -> HoleWitness | None:
     n = g.n
     if s + t > n:
         return None
-    cursor = _Cursor(_closed_masks(g), s)
-    if not cursor.seek(n - t):
-        return None
-    return _witness(n, cursor.subset, cursor.mask, t)
+    cursor = _fitting_sets(_closed_masks(g), s)
+    next(cursor)
+    hole = cursor.send(n - t)
+    return None if hole is None else _witness(n, *hole, t)
 
 
 def bipartite_hole_number(g: Graph) -> HoleCertificate:
@@ -191,7 +171,7 @@ def bipartite_hole_number(g: Graph) -> HoleCertificate:
     if n < 1:
         raise ValueError("graph must have at least one vertex")
     closed = _closed_masks(g)
-    cursors: list[_Cursor] = []
+    cursors = []
     below: list[tuple[tuple[int, ...], int]] = []  # level k's holes, by s
     k = 0
     while True:
@@ -202,10 +182,11 @@ def bipartite_hole_number(g: Graph) -> HoleCertificate:
             t = level - s
             if s + t <= n:
                 if s > len(cursors):
-                    cursors.append(_Cursor(closed, s))
-                cursor = cursors[s - 1]
-                if cursor.seek(n - t):
-                    holes.append((cursor.subset, cursor.mask))
+                    cursors.append(_fitting_sets(closed, s))
+                    next(cursors[-1])
+                hole = cursors[s - 1].send(n - t)
+                if hole is not None:
+                    holes.append(hole)
                     continue
             witnesses = tuple(
                 _witness(n, *below[sp - 1], k - sp)

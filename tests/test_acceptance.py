@@ -1,8 +1,25 @@
-"""End-to-end acceptance suite.
+"""End-to-end acceptance suite: the paper's claims, checked by the same
+property code that ``biphole sweep`` runs.
 
-Each test prints one PASS line with its counts and timing (visible with
-pytest -s); a failed assertion names the first counterexample, which is
-always dumped as a replayable graph6 line.
+Each paper criterion runs its corpora through ``sweep.run_enumerated`` or
+``sweep.run_graph6_lines`` and asserts that no failure names its property
+and that the property checked exactly its pinned number of graphs, so a
+property that stops applying cannot pass quietly.  A failure record carries
+the graph6 line that replays it.  One session fixture per corpus:
+
+* every labeled graph with n = 1..6, all eight properties: alpha-oracle
+  and g6-roundtrip 33,867, heavy-cycle and fan-ham 11,617, heavy-path
+  6,335, dirac-chain 1,896, min-degree-ham 1,895, min-degree-hc 104;
+* every labeled graph with n = 7, fan-ham 1,014,888 and dirac-chain 15,796,
+  on two worker processes;
+* 1,000 seeded G(n, p) for alpha-oracle (seeds 770,000 + i);
+* 500 seeded 2-connected G(n, p) with 4 <= n <= 12 (seeds 550,000 + i):
+  heavy-cycle 500, min-degree-ham 255, min-degree-hc 143.
+
+``biphole sweep --enumerate 6`` reproduces the n = 6 part.  The sharpness
+witnesses and the graph6 fuzz test are checked directly.  The module takes
+about three minutes on two cores: the n = 7 sweep 100-120 s, the
+time-boxed fuzz 60 s, the n <= 6 sweep about 8 s.
 """
 from __future__ import annotations
 
@@ -11,243 +28,122 @@ import time
 
 import pytest
 
-import biphole.paths as paths_mod
 from biphole import (
     DegreeConditionError,
-    bipartite_hole_number,
     brute_cycle_through_set,
-    brute_hamiltonian,
-    brute_hamiltonian_connected,
     brute_path_through_set,
-    check_fan_type,
-    check_liu_yuan_zhang,
-    complete,
-    cycle,
     cycle_through_heavy,
-    empty,
     erdos_renyi,
     heavy_path,
     hole_number,
     naive_hole_number,
     parse_graph6,
-    path,
-    petersen,
-    validate_certificate,
     verify_heavy_cycle,
     verify_heavy_path,
     write_graph6,
 )
 from biphole.errors import ParseError
-from biphole.generators import enumerate_labeled
+from biphole.sweep import SweepResult, property_names, run_enumerated, run_graph6_lines
 
 
 def _report(name, detail, t0):
     print(f"PASS {name}: {detail} [{time.time() - t0:.1f}s]")
 
 
-@pytest.fixture(scope="session")
-def exhaustive_small():
-    """All labeled graphs, n = 1..6, grouped by order."""
-    return {n: list(enumerate_labeled(n)) for n in range(1, 7)}
+def _assert_pinned(result, prop, checked):
+    """No failure names ``prop``, and it checked exactly ``checked`` graphs."""
+    assert [f for f in result.failures if f["property"] == prop] == []
+    assert result.checked.get(prop, 0) == checked
 
 
 @pytest.fixture(scope="session")
-def random_two_connected_12():
+def sweep_n6():
+    """Every labeled graph with n = 1..6 through every property."""
+    result = SweepResult()
+    for n in range(1, 7):
+        result.merge(run_enumerated(n, list(property_names())))
+    return result
+
+
+@pytest.fixture(scope="session")
+def sweep_n7():
+    """Every labeled graph with n = 7 through the two implication criteria."""
+    return run_enumerated(7, ["fan-ham", "dirac-chain"], jobs=2, allow_large=True)
+
+
+@pytest.fixture(scope="session")
+def sweep_alpha_corpus():
+    """1,000 seeded G(n, p) with 1 <= n <= 10."""
+    lines = [
+        write_graph6(
+            erdos_renyi(1 + i % 10, *((1, 4), (1, 2), (3, 4))[i % 3], seed=770_000 + i)
+        )
+        for i in range(1000)
+    ]
+    return run_graph6_lines(lines, ["alpha-oracle"])
+
+
+@pytest.fixture(scope="session")
+def sweep_two_connected():
     """500 seeded 2-connected graphs with 4 <= n <= 12."""
-    out = []
+    lines = []
     i = 0
-    while len(out) < 500:
+    while len(lines) < 500:
         n = 4 + i % 9
         num, den = ((1, 2), (2, 3), (3, 4))[i % 3]
         g = erdos_renyi(n, num, den, seed=550_000 + i)
         i += 1
         if g.is_two_connected():
-            out.append(g)
-    return out
+            lines.append(write_graph6(g))
+    return run_graph6_lines(lines, ["heavy-cycle", "min-degree-ham", "min-degree-hc"])
 
 
-def test_alpha_oracle_equivalence(exhaustive_small):
+def test_alpha_oracle_equivalence(sweep_n6, sweep_alpha_corpus):
     """Hole-number equals naive double enumeration; certificates validate."""
-    t0 = time.time()
-    checked = 0
-    for n in range(1, 6):
-        for g in exhaustive_small[n]:
-            cert = bipartite_hole_number(g)
-            assert cert.value == naive_hole_number(g), write_graph6(g)
-            assert validate_certificate(g, cert), write_graph6(g)
-            checked += 1
-    for i in range(1000):
-        n = 1 + i % 10
-        num, den = ((1, 4), (1, 2), (3, 4))[i % 3]
-        g = erdos_renyi(n, num, den, seed=770_000 + i)
-        cert = bipartite_hole_number(g)
-        assert cert.value == naive_hole_number(g), write_graph6(g)
-        assert validate_certificate(g, cert), write_graph6(g)
-        checked += 1
-    _report("alpha-oracle-equivalence", f"{checked} graphs", t0)
+    _assert_pinned(sweep_n6, "alpha-oracle", 33_867)
+    _assert_pinned(sweep_alpha_corpus, "alpha-oracle", 1_000)
 
 
-def test_heavy_cycle_soundness(exhaustive_small, random_two_connected_12):
+def test_heavy_cycle_soundness(sweep_n6, sweep_two_connected):
     """Construction succeeds and verifies on every 2-connected input."""
-    t0 = time.time()
-    checked = 0
-    for n in range(3, 7):
-        for g in exhaustive_small[n]:
-            if not g.is_two_connected():
-                continue
-            out = cycle_through_heavy(g)  # any exception fails the criterion
-            assert verify_heavy_cycle(g, out, hole_number(g)), write_graph6(g)
-            checked += 1
-    for g in random_two_connected_12:
-        out = cycle_through_heavy(g)
-        assert verify_heavy_cycle(g, out, hole_number(g)), write_graph6(g)
-        checked += 1
-    _report("heavy-cycle-soundness", f"{checked} two-connected graphs", t0)
+    _assert_pinned(sweep_n6, "heavy-cycle", 11_617)
+    _assert_pinned(sweep_two_connected, "heavy-cycle", 500)
 
 
-def test_heavy_path_soundness(exhaustive_small):
-    """Every valid endpoint pair gets a verified path; no inconsistencies."""
-    t0 = time.time()
-    paths_mod.DIAGNOSTICS.clear()
-    graphs_checked = 0
-    pairs_checked = 0
-    for n in range(2, 7):
-        for g in exhaustive_small[n]:
-            if not g.is_connected():
-                continue
-            threshold = hole_number(g) + 1
-            eligible = [v for v in g.vertices if g.degree(v) >= threshold]
-            ran = False
-            for i, u in enumerate(eligible):
-                for v in eligible[i + 1 :]:
-                    p = heavy_path(g, u, v)
-                    assert verify_heavy_path(g, p, u, v, threshold), write_graph6(g)
-                    pairs_checked += 1
-                    ran = True
-            graphs_checked += ran
-    fallbacks = paths_mod.DIAGNOSTICS.get("fallback", 0)
-    _report(
-        "heavy-path-soundness",
-        f"{pairs_checked} pairs over {graphs_checked} graphs, "
-        f"{fallbacks} fallback activations",
-        t0,
-    )
+def test_heavy_path_soundness(sweep_n6):
+    """Every valid endpoint pair gets a verified path; a round that no
+    template closes raises, and the property reports it."""
+    _assert_pinned(sweep_n6, "heavy-path", 6_335)
 
 
-def test_min_degree_implies_hamilton_cycle(
-    exhaustive_small, random_two_connected_12
-):
+def test_min_degree_implies_hamilton_cycle(sweep_n6, sweep_two_connected):
     """Minimum degree at the hole-number forces a Hamilton cycle."""
-    t0 = time.time()
-    checked = 0
-    corpora = [g for n in range(3, 7) for g in exhaustive_small[n]]
-    corpora += random_two_connected_12
-    for g in corpora:
-        if g.n < 3 or g.min_degree() < hole_number(g):
-            continue
-        out = cycle_through_heavy(g)
-        assert len(out) == g.n, write_graph6(g)
-        assert brute_hamiltonian(g), write_graph6(g)
-        checked += 1
-    _report("min-degree-hamilton-cycle", f"{checked} qualifying graphs", t0)
+    _assert_pinned(sweep_n6, "min-degree-ham", 1_895)
+    _assert_pinned(sweep_two_connected, "min-degree-ham", 255)
 
 
-def test_min_degree_implies_hamilton_connected(
-    exhaustive_small, random_two_connected_12
-):
+def test_min_degree_implies_hamilton_connected(sweep_n6, sweep_two_connected):
     """Minimum degree above the hole-number forces Hamilton paths everywhere."""
-    t0 = time.time()
-    checked = 0
-    corpora = [g for n in range(3, 7) for g in exhaustive_small[n]]
-    corpora += random_two_connected_12
-    for g in corpora:
-        if g.n < 3 or g.min_degree() < hole_number(g) + 1:
-            continue
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                p = heavy_path(g, u, v)
-                assert len(p) == g.n, write_graph6(g)
-        assert brute_hamiltonian_connected(g), write_graph6(g)
-        checked += 1
-    _report("min-degree-hamilton-connected", f"{checked} qualifying graphs", t0)
+    _assert_pinned(sweep_n6, "min-degree-hc", 104)
+    _assert_pinned(sweep_two_connected, "min-degree-hc", 143)
 
 
-@pytest.fixture(scope="session")
-def scan_n7():
-    """One pass over all labeled graphs with n <= 7 for the two exhaustive
-    implication criteria (they share the enumeration cost)."""
-    results = {
-        "fan_holds": 0,
-        "lyz_holds": 0,
-        "fan_bad": [],
-        "lyz_bad": [],
-        "chain_checked": 0,
-        "chain_bad": [],
-        "two_connected": 0,
-    }
-    for n in range(1, 8):
-        gen = enumerate_labeled(n, allow_large=n >= 7)
-        for g in gen:
-            at = None
-            if n >= 1 and 2 * g.min_degree() >= n:
-                at = hole_number(g)
-                results["chain_checked"] += 1
-                if at > (n + 1) // 2:
-                    results["chain_bad"].append(write_graph6(g))
-            if n >= 3 and g.min_degree() >= 2 and g.is_two_connected():
-                results["two_connected"] += 1
-                if at is None:
-                    at = hole_number(g)
-                if check_fan_type(g, at).holds:
-                    results["fan_holds"] += 1
-                    if not brute_hamiltonian(g):
-                        results["fan_bad"].append(write_graph6(g))
-                if check_liu_yuan_zhang(g, at).holds:
-                    results["lyz_holds"] += 1
-                    if not brute_hamiltonian(g):
-                        results["lyz_bad"].append(write_graph6(g))
-    return results
-
-
-def test_fan_type_and_distance_two_imply_hamilton(scan_n7):
+def test_fan_type_and_distance_two_imply_hamilton(sweep_n6, sweep_n7):
     """Whenever either condition holds on a 2-connected graph, the oracle
     confirms a Hamilton cycle (exhaustive n <= 7)."""
-    t0 = time.time()
-    assert scan_n7["fan_bad"] == []
-    assert scan_n7["lyz_bad"] == []
-    _report(
-        "fan-and-distance-two-imply-hamilton",
-        f"fan holds on {scan_n7['fan_holds']}, distance-two degree on "
-        f"{scan_n7['lyz_holds']} of {scan_n7['two_connected']} two-connected graphs",
-        t0,
-    )
+    _assert_pinned(sweep_n6, "fan-ham", 11_617)
+    _assert_pinned(sweep_n7, "fan-ham", 1_014_888)
 
 
-def test_half_degree_bounds_hole_number(scan_n7):
+def test_half_degree_bounds_hole_number(sweep_n6, sweep_n7):
     """Minimum degree n/2 caps the hole-number at ceil(n/2) (exhaustive n <= 7)."""
-    t0 = time.time()
-    assert scan_n7["chain_bad"] == []
-    assert scan_n7["chain_checked"] > 0
-    _report(
-        "half-degree-hole-number-chain",
-        f"{scan_n7['chain_checked']} qualifying graphs",
-        t0,
-    )
+    _assert_pinned(sweep_n6, "dirac-chain", 1_896)
+    _assert_pinned(sweep_n7, "dirac-chain", 15_796)
 
 
-def test_spot_values():
-    """Regression constants, each confirmed by the naive oracle first."""
-    t0 = time.time()
-    cases = [
-        (complete(4), 1),
-        (path(3), 2),
-        (cycle(5), 3),
-        (petersen(), 5),
-    ] + [(empty(n), n) for n in range(1, 8)]
-    for g, expected in cases:
-        assert naive_hole_number(g) == expected, write_graph6(g)
-        assert hole_number(g) == expected, write_graph6(g)
-    _report("spot-values", f"{len(cases)} pinned values", t0)
+def test_graph6_roundtrip_exhaustive(sweep_n6):
+    """Every labeled graph with n <= 6 survives a graph6 round-trip."""
+    _assert_pinned(sweep_n6, "g6-roundtrip", 33_867)
 
 
 # graph6 -> (order, hole-number) of the smallest witnesses.

@@ -217,6 +217,14 @@ def test_sweep_jobs_below_one_exit_4(capsys):
         assert err == f"error: jobs must be at least 1; got {jobs}\n"
 
 
+def test_sweep_enumerate_above_gate_exit_4(capsys):
+    # The gate answers before the 2^(n choose 2) mask count is built.
+    for extra, gate in (((), "6 (pass allow_large=True for 7..8)"), (("--allow-large",), "8")):
+        code, out, err = run(capsys, "sweep", "--enumerate", "200000", *extra)
+        assert code == 4 and out == ""
+        assert err == f"error: enumeration gated at n <= {gate}\n"
+
+
 def test_sweep_graph6_file(tmp_path, capsys):
     lines = [write_graph6(complete(n)) for n in (3, 4, 5)]
     f = tmp_path / "corpus.g6"

@@ -1,8 +1,12 @@
+import dataclasses
 import os
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
-from biphole import UnknownNameError, complete, write_graph6
+import biphole.sweep as sweep_mod
+from biphole import Graph, UnknownNameError, complete, write_graph6
 from biphole.sweep import (
     SweepResult,
     check_graph,
@@ -58,8 +62,6 @@ def test_property_names_stable():
 
 
 def test_failures_are_replayable_and_sorted(monkeypatch):
-    import biphole.sweep as sweep_mod
-
     def half_fail(g, facts):
         return [{"detail": "odd order"}] if g.n % 2 else []
 
@@ -109,8 +111,6 @@ def test_jobs_clamped_before_pool(monkeypatch):
 
 
 def test_jobs_below_one_raise_before_any_graph(monkeypatch):
-    import biphole.sweep as sweep_mod
-
     def no_graph(*args, **kwargs):
         raise AssertionError("drew a graph")
 
@@ -171,7 +171,6 @@ def test_one_certificate_per_graph(monkeypatch):
     import biphole.cycles as cycles_mod
     import biphole.holes as holes_mod
     import biphole.paths as paths_mod
-    import biphole.sweep as sweep_mod
 
     counts = {}
     for mod in (sweep_mod, cycles_mod, paths_mod, holes_mod, biphole):
@@ -195,7 +194,6 @@ def test_one_certificate_per_graph(monkeypatch):
 
 
 def test_roundtrip_only_sweep_analyses_nothing(monkeypatch):
-    import biphole.sweep as sweep_mod
     from biphole import Graph
 
     def forbidden(*args):
@@ -222,3 +220,110 @@ def test_import_does_not_load_multiprocessing():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_order_gate_raises_before_counting_masks():
+    # The mask count 2^(n choose 2) of n = 60,000 alone would take 229 MiB.
+    for allow_large, gate in ((False, 6), (True, 8)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"enumeration gated at n <= {gate}"):
+                run_enumerated(60_000, ["g6-roundtrip"], allow_large=allow_large)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def _value_off_by_one(monkeypatch):
+    real = sweep_mod.bipartite_hole_number
+    monkeypatch.setattr(
+        sweep_mod,
+        "bipartite_hole_number",
+        lambda g: dataclasses.replace(real(g), value=real(g).value + 1),
+    )
+
+
+def _cycle_missing_a_vertex(monkeypatch):
+    real = sweep_mod._cycle_through_heavy
+    monkeypatch.setattr(
+        sweep_mod,
+        "_cycle_through_heavy",
+        lambda g, cert: sweep_mod.Cycle(g, real(g, cert).vertices[:-1]),
+    )
+
+
+def _path_of_its_ends(monkeypatch):
+    monkeypatch.setattr(
+        sweep_mod, "_heavy_path", lambda g, u, v, cert: sweep_mod.OrientedPath(g, (u, v))
+    )
+
+
+def _never_hamiltonian(monkeypatch):
+    monkeypatch.setattr(sweep_mod, "brute_hamiltonian", lambda g: False)
+
+
+def _writer_dropping_an_edge(monkeypatch):
+    real = sweep_mod.write_graph6
+    monkeypatch.setattr(
+        sweep_mod, "write_graph6", lambda g: real(Graph(g.n, list(g.edges())[1:]))
+    )
+
+
+K4_PAIRS = list(combinations(range(4), 2))
+
+# property -> (graph6, corruption, graph6 of the failure record, details in
+# the sweep's sorted order).  The lossy writer also writes the replay line.
+CORRUPTED = {
+    "alpha-oracle": (
+        "C~",
+        _value_off_by_one,
+        "C~",
+        ["certificate failed validation", "value 2 disagrees with naive 1"],
+    ),
+    "heavy-cycle": ("C~", _cycle_missing_a_vertex, "C~", ["cycle failed verification"]),
+    "heavy-path": (
+        "C~",
+        _path_of_its_ends,
+        "C~",
+        [f"({u},{v}) failed verification" for u, v in K4_PAIRS],
+    ),
+    "min-degree-ham": (
+        "C~",
+        _cycle_missing_a_vertex,
+        "C~",
+        ["expected Hamilton cycle, got length 3"],
+    ),
+    "min-degree-hc": (
+        "C~",
+        _path_of_its_ends,
+        "C~",
+        [f"({u},{v}): not a Hamilton path" for u, v in K4_PAIRS],
+    ),
+    "fan-ham": (
+        "C~",
+        _never_hamiltonian,
+        "C~",
+        [
+            "distance-two degree condition holds but graph is not hamiltonian",
+            "fan-type condition holds but graph is not hamiltonian",
+        ],
+    ),
+    "dirac-chain": ("Cl", _value_off_by_one, "Cl", ["hole-number exceeds ceil(n/2) = 2"]),
+    "g6-roundtrip": ("C~", _writer_dropping_an_edge, "C^", ["round-trip mismatch via 'C^'"]),
+}
+
+
+@pytest.mark.parametrize("prop", list(CORRUPTED))
+def test_each_property_reports_a_corrupted_answer(monkeypatch, prop):
+    # K4 ("C~") and C4 ("Cl", hole-number 2 = ceil(4/2)), each with the one
+    # answer the property checks corrupted: a property that compared an
+    # answer with itself would report nothing here.
+    g6, corrupt, replay, details = CORRUPTED[prop]
+    assert run_graph6_lines([g6], [prop]).failures == []
+    corrupt(monkeypatch)
+    result = run_graph6_lines([g6], [prop])
+    assert result.checked == {prop: 1}
+    assert result.failures == [
+        {"property": prop, "graph6": replay, "detail": d} for d in details
+    ]

@@ -8,9 +8,11 @@
 Each pair runs ``bench/run.py --trace 0`` once in each checkout, one after
 the other, and alternates which side goes first.  The summary holds, per
 workload and end-to-end metric, each side's median and quartiles, the
-change's median over the parent's, the number of pairs the change won, and
-whether that is a resolved gain: a win in at least nine pairs of ten and a
-gap between the medians wider than the parent's interquartile range.
+change's median over the parent's, the number of pairs the change won,
+whether that is a resolved gain (a win in at least nine pairs of ten and a
+gap between the medians wider than the parent's interquartile range), and
+whether the change stays within the metric's bound: its median worse than
+the parent's by no more than that fraction of the parent's median.
 
 Metric names, units and directions and the run length come from
 ``BENCHMARK.json``.  The benchmark's files are run as they are in each
@@ -67,6 +69,7 @@ def summarise(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
             "change_wins": wins,
             "resolved_gain": wins >= 0.9 * len(pairs)
             and (gap if higher else -gap) > ps["q3"] - ps["q1"],
+            "within_bound": (-gap if higher else gap) <= spec["bound"] * ps["median"],
             "runs": {"parent": par, "change": chg},
         }
     return out
