@@ -32,12 +32,17 @@ from biphole import (
     DegreeConditionError,
     brute_cycle_through_set,
     brute_path_through_set,
+    complete,
+    cycle,
     cycle_through_heavy,
+    empty,
     erdos_renyi,
     heavy_path,
     hole_number,
     naive_hole_number,
     parse_graph6,
+    path,
+    petersen,
     verify_heavy_cycle,
     verify_heavy_path,
     write_graph6,
@@ -139,6 +144,21 @@ def test_half_degree_bounds_hole_number(sweep_n6, sweep_n7):
     """Minimum degree n/2 caps the hole-number at ceil(n/2) (exhaustive n <= 7)."""
     _assert_pinned(sweep_n6, "dirac-chain", 1_896)
     _assert_pinned(sweep_n7, "dirac-chain", 15_796)
+
+
+def test_spot_values():
+    """Regression constants, each confirmed by the naive oracle first."""
+    t0 = time.time()
+    cases = [
+        (complete(4), 1),
+        (path(3), 2),
+        (cycle(5), 3),
+        (petersen(), 5),
+    ] + [(empty(n), n) for n in range(1, 8)]
+    for g, expected in cases:
+        assert naive_hole_number(g) == expected, write_graph6(g)
+        assert hole_number(g) == expected, write_graph6(g)
+    _report("spot-values", f"{len(cases)} pinned values", t0)
 
 
 def test_graph6_roundtrip_exhaustive(sweep_n6):

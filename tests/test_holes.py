@@ -63,7 +63,9 @@ def test_hole_number_spot_values():
         (path(3), 2),
         (cycle(5), 3),
         (petersen(), 5),
-    ] + [(empty(n), n) for n in range(1, 8)]:
+        (empty(3), 3),
+        (empty(1), 1),
+    ]:
         assert naive_hole_number(g) == expected
         assert hole_number(g) == expected
 
