@@ -22,6 +22,18 @@ whose union is already too large, so every s-set before the answer is
 evaluated.  The holes found one level below are the lower-bound witnesses,
 with the sides swapped for s' > k/2.
 
+The value alone comes from a second, pruned search over the same
+reduction.  Let f(s) be the least |N[S]| over the s-sets; an (s,t)-hole
+exists iff t <= n - f(s), so the number is the least s + n - f(s).  A
+depth-first search over the vertices, ordered by closed degree, carries the
+union mask and cuts a branch once the union is no smaller than the least
+found for that s.  An s ends early once some set has |N[S]| <= s + n - best,
+because then its term is no smaller than the best one.  The scan over s
+stops once 2s > best: swapping the sides of a hole-free split, some term
+that attains the number k has 2s <= k + 1, and while best > k such an s is
+still ahead with 2s <= best.  The certificate stays on the lexicographic
+cursor, whose witnesses are pinned, and the two searches check each other.
+
 The naive oracles are the independent anchor for n <= 14 and call none of
 the above: for each s-set S in lexicographic order they walk the
 lexicographic t-subset masks of all n vertices (built once per (n, t) and
@@ -268,6 +280,48 @@ def naive_hole_number(g: Graph, max_n: int | None = None) -> int:
                 return k
 
 
+def _min_union(order: list[int], s: int, enough: int) -> int:
+    """The least popcount of an OR of s masks of ``order``, or the first one
+    found that is at most ``enough``."""
+    n = len(order)
+    best = n + 1
+
+    def extend(start: int, left: int, union: int) -> bool:
+        nonlocal best
+        for i in range(start, n - left + 1):
+            m = union | order[i]
+            size = m.bit_count()
+            if size >= best:
+                continue
+            if left > 1:
+                if extend(i + 1, left - 1, m):
+                    return True
+            else:
+                best = size
+                if size <= enough:
+                    return True
+        return False
+
+    extend(0, s, 0)
+    return best
+
+
+def _profile_kernel(closed: list[int]) -> int:
+    """The least s + n - f(s), f(s) the least |N[S]| over the s-sets; only
+    the s with 2s <= best are scanned (see the module docstring)."""
+    n = len(closed)
+    order = sorted(closed, key=int.bit_count)
+    best = n
+    s = 1
+    while 2 * s <= best:
+        best = min(best, s + n - _min_union(order, s, s + n - best))
+        s += 1
+    return best
+
+
 def hole_number(g: Graph) -> int:
-    """Just the value of ``bipartite_hole_number``."""
-    return bipartite_hole_number(g).value
+    """The value of ``bipartite_hole_number``, from the pruned profile
+    kernel instead of the certificate's cursor search."""
+    if g.n < 1:
+        raise ValueError("graph must have at least one vertex")
+    return _profile_kernel(_closed_masks(g))

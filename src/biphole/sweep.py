@@ -9,7 +9,9 @@ and Hamiltonicity oracle once; ``alpha-oracle`` checks that shared
 certificate against the naive search.  The runner walks a graph
 source, optionally fanning out over worker processes, and aggregates a
 deterministic summary; every failure carries the offending graph6 line so it
-can be replayed.
+can be replayed: a graph6 source's own input line, so that a fault in the
+writer that ``g6-roundtrip`` checks cannot corrupt it, and the written
+graph6 of an enumerated graph.
 
 The acceptance suite (``tests/test_acceptance.py``) checks the paper's
 claims through these properties and pins each one's checked count: every
@@ -234,10 +236,12 @@ class SweepResult:
         self.failures.extend(other.failures)
 
 
-def check_graph(g: Graph, properties: list[str], result: SweepResult) -> None:
-    """Run the properties on g, adding the outcomes into ``result``."""
+def check_graph(
+    g: Graph, properties: list[str], result: SweepResult, g6: str | None = None
+) -> None:
+    """Run the properties on g, adding the outcomes into ``result``.  A
+    failure's replay line is ``g6``, the graph's input line, when given."""
     facts = GraphFacts(g)
-    g6 = None
     for name in properties:
         try:
             prop = PROPERTIES[name]
@@ -259,14 +263,24 @@ def _run_batch(task) -> SweepResult:
     kind, payload, properties = task
     result = SweepResult()
     if kind == "g6":
-        graphs = (parse_graph6(line) for line in payload)
+        graphs = _parsed(payload)
     else:
         n, lo, hi = payload
         # run_enumerated has already applied the caller's order gate.
-        graphs = enumerate_labeled(n, allow_large=True, masks=range(lo, hi))
-    for g in graphs:
-        check_graph(g, properties, result)
+        graphs = _unlined(enumerate_labeled(n, allow_large=True, masks=range(lo, hi)))
+    for g, line in graphs:
+        check_graph(g, properties, result, line)
     return result
+
+
+def _parsed(lines):
+    """(graph, its input line) for each graph6 line."""
+    return ((parse_graph6(line), line) for line in lines)
+
+
+def _unlined(graphs):
+    """(graph, None) for each graph: it has no input line to replay."""
+    return ((g, None) for g in graphs)
 
 
 def run_enumerated(
@@ -276,7 +290,7 @@ def run_enumerated(
     return _run(
         properties,
         jobs,
-        enumerate_labeled(n, allow_large=allow_large),
+        _unlined(enumerate_labeled(n, allow_large=allow_large)),
         1 << (n * (n - 1) // 2),
         lambda lo, hi: ("enum", (n, lo, hi), properties),
     )
@@ -288,17 +302,17 @@ def run_graph6_lines(
     return _run(
         properties,
         jobs,
-        (parse_graph6(line) for line in lines),
+        _parsed(lines),
         len(lines),
         lambda lo, hi: ("g6", lines[lo:hi], properties),
     )
 
 
 def _run(properties, jobs: int, graphs, total: int, task) -> SweepResult:
-    """Sweep ``graphs`` in this process, or hand the chunks ``task(lo, hi)``
-    of the source's ``total`` graphs to at most one worker per CPU; the
-    chunk size follows the clamped job count.  ``jobs`` below 1 raises
-    ``ValueError`` before any graph is drawn."""
+    """Sweep the (graph, input line) pairs ``graphs`` in this process, or
+    hand the chunks ``task(lo, hi)`` of the source's ``total`` graphs to at
+    most one worker per CPU; the chunk size follows the clamped job count.
+    ``jobs`` below 1 raises ``ValueError`` before any graph is drawn."""
     for name in properties:
         if name not in PROPERTIES:
             raise UnknownNameError("property", name, property_names())
@@ -307,8 +321,8 @@ def _run(properties, jobs: int, graphs, total: int, task) -> SweepResult:
     jobs = min(jobs, os.cpu_count() or 1)
     result = SweepResult()
     if jobs <= 1:
-        for g in graphs:
-            check_graph(g, properties, result)
+        for g, line in graphs:
+            check_graph(g, properties, result, line)
     else:
         chunk = max(1, total // (jobs * 8))
         tasks = [task(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import biphole.holes as holes_mod
 from biphole import (
+    Graph,
     HoleCertificate,
     HoleWitness,
     SizeGuardError,
@@ -28,9 +29,11 @@ from biphole import (
     validate_certificate,
 )
 
+from biphole.generators import enumerate_labeled
 from biphole.graph import mask_of
 
 from conftest import graphs, seeded_graphs
+from test_golden import CERTIFICATE_P
 
 
 def test_min_closed_neighborhood():
@@ -68,6 +71,28 @@ def test_hole_number_spot_values():
     ]:
         assert naive_hole_number(g) == expected
         assert hole_number(g) == expected
+
+
+def test_kernel_agrees_with_the_certificate():
+    # Every labeled graph with n <= 6 and the 400 seeded G(n, p) of the
+    # pinned certificate digest: the pruned kernel and the cursor ascent are
+    # two searches that check each other.
+    corpus = [g for n in range(1, 7) for g in enumerate_labeled(n)]
+    corpus += [erdos_renyi(7 + i % 10, *CERTIFICATE_P[i % 4], 11000 + i) for i in range(400)]
+    for g in corpus:
+        assert hole_number(g) == bipartite_hole_number(g).value
+
+
+def test_kernel_values_above_the_cursor_reach():
+    # The cursor's values at the last re-anchor, where it took 25 s and
+    # 293 s; the kernel takes well under a second on each.
+    assert hole_number(erdos_renyi(30, 1, 8, 1)) == 24
+    assert hole_number(erdos_renyi(40, 1, 4, 1)) == 21
+
+
+def test_hole_number_of_the_empty_graph_raises():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        hole_number(Graph(0))
 
 
 def test_certificates():
@@ -368,6 +393,9 @@ def test_naive_oracle_shares_nothing_with_the_search(monkeypatch):
         "min_closed_neighborhood",
         "find_hole",
         "bipartite_hole_number",
+        "_min_union",
+        "_profile_kernel",
+        "hole_number",
     ):
         monkeypatch.setattr(holes_mod, name, forbidden)
     for g, value in [(petersen(), 5), (cycle(5), 3), (empty(6), 6)]:
@@ -377,3 +405,79 @@ def test_naive_oracle_shares_nothing_with_the_search(monkeypatch):
                 w = naive_hole_oracle(g, s, t)
                 assert w == _reference_naive_hole(g, s, t)
                 assert w is None or (w.is_valid(g) and w.sizes == (s, t))
+
+
+def test_certificate_shares_nothing_with_the_kernel(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the certificate reached the profile kernel")
+
+    for name in ("_min_union", "_profile_kernel", "hole_number"):
+        monkeypatch.setattr(holes_mod, name, forbidden)
+    for g, value in [(petersen(), 5), (cycle(5), 3), (empty(6), 6), (erdos_renyi(20, 1, 4, 1), 15)]:
+        cert = bipartite_hole_number(g)
+        assert cert.value == value and validate_certificate(g, cert)
+        assert find_hole(g, *cert.hole_free_pair) is None
+        if g.n <= 10:
+            assert naive_hole_number(g) == value
+
+
+def _milp_hole_number(g):
+    """The hole-number by the ascent over k of the definition, each split
+    (s, t) of k + 1 decided by HiGHS: is there an s-set S with |N[S]| <= n - t?
+    With x the indicator of S and y that of N[S], that is Σ x_u = s,
+    y_v >= x_u for u in N[v] and Σ y_v <= n - t, x and y binary.  A set S
+    found also settles every t' <= n - |N[S]| for its s.  Nothing of the
+    library's searches is used."""
+    np = pytest.importorskip("numpy")
+    opt = pytest.importorskip("scipy.optimize")
+    n = g.n
+    cover = np.zeros((n + 2 * g.m, 2 * n))
+    row = 0
+    for v in range(n):
+        for u in [v, *g.neighbors(v)]:
+            cover[row, n + v], cover[row, u] = 1, -1
+            row += 1
+    sides = np.zeros((2, 2 * n))
+    sides[0, :n] = sides[1, n:] = 1
+    reach = {}  # s -> n - |N[S]| for the last s-set S found
+
+    def hole(s, t):
+        if t <= reach.get(s, 0):
+            return True
+        if s + t > n:
+            return False
+        res = opt.milp(
+            np.zeros(2 * n),
+            constraints=[
+                opt.LinearConstraint(cover, 0, np.inf),
+                opt.LinearConstraint(sides, [s, 0], [s, n - t]),
+            ],
+            integrality=np.ones(2 * n),
+            bounds=opt.Bounds(0, 1),
+        )
+        assert res.status in (0, 2), res.message  # feasible, or proved infeasible
+        if res.status == 2:
+            return False
+        chosen = [u for u in range(n) if res.x[u] > 0.5]
+        reach[s] = n - len({*chosen, *(w for u in chosen for w in g.neighbors(u))})
+        return True
+
+    k = 0
+    while True:
+        k += 1
+        if not all(hole(s, k + 1 - s) for s in range(1, (k + 1) // 2 + 1)):
+            return k
+
+
+def test_kernel_agrees_with_milp_oracle_above_the_naive_reach():
+    # An anchor for n = 15..24, past the naive oracles' n <= 14, that shares
+    # no code with the kernel or the cursor: one G(n, p) per order, sparse
+    # (p = 1/4, 1/8: large values, deep searches) and dense (p = 3/4).
+    pytest.importorskip("scipy")
+    p = ((1, 4), (1, 8), (3, 4))
+    values = []
+    for i in range(10):
+        g = erdos_renyi(15 + i, *p[i % 3], 21000 + i)
+        values.append(_milp_hole_number(g))
+        assert hole_number(g) == values[-1]
+    assert values == [11, 16, 5, 13, 16, 5, 14, 20, 5, 16]

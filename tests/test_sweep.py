@@ -273,7 +273,8 @@ def _writer_dropping_an_edge(monkeypatch):
 K4_PAIRS = list(combinations(range(4), 2))
 
 # property -> (graph6, corruption, graph6 of the failure record, details in
-# the sweep's sorted order).  The lossy writer also writes the replay line.
+# the sweep's sorted order).  The replay line is the input line, so the lossy
+# writer cannot corrupt it.
 CORRUPTED = {
     "alpha-oracle": (
         "C~",
@@ -310,7 +311,7 @@ CORRUPTED = {
         ],
     ),
     "dirac-chain": ("Cl", _value_off_by_one, "Cl", ["hole-number exceeds ceil(n/2) = 2"]),
-    "g6-roundtrip": ("C~", _writer_dropping_an_edge, "C^", ["round-trip mismatch via 'C^'"]),
+    "g6-roundtrip": ("C~", _writer_dropping_an_edge, "C~", ["round-trip mismatch via 'C^'"]),
 }
 
 
@@ -326,4 +327,21 @@ def test_each_property_reports_a_corrupted_answer(monkeypatch, prop):
     assert result.checked == {prop: 1}
     assert result.failures == [
         {"property": prop, "graph6": replay, "detail": d} for d in details
+    ]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_replay_line_is_the_input_line_of_a_graph6_source(monkeypatch, jobs):
+    # A graph6 source replays its own line, header included, in this
+    # process and in a worker; an enumerated graph has no line, so it
+    # replays what the (here lossy) writer makes of it.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _inline_pool(monkeypatch, [], [])
+    _writer_dropping_an_edge(monkeypatch)
+    lines = [">>graph6<<C~", "Cl"]
+    result = run_graph6_lines(lines, ["g6-roundtrip"], jobs=jobs)
+    assert [f["graph6"] for f in result.failures] == lines
+    result = run_enumerated(2, ["g6-roundtrip"], jobs=jobs)
+    assert result.failures == [
+        {"property": "g6-roundtrip", "graph6": "A?", "detail": "round-trip mismatch via 'A?'"}
     ]
