@@ -84,8 +84,8 @@ def test_kernel_agrees_with_the_certificate():
 
 
 def test_kernel_values_above_the_cursor_reach():
-    # The cursor's values at the last re-anchor, where it took 25 s and
-    # 293 s; the kernel takes well under a second on each.
+    # Values the cursor search computed, in 25 s and 293 s; the kernel
+    # takes well under a second on each.
     assert hole_number(erdos_renyi(30, 1, 8, 1)) == 24
     assert hole_number(erdos_renyi(40, 1, 4, 1)) == 21
 
