@@ -156,15 +156,15 @@ def check_ore(g: Graph) -> ConditionReport:
     return _report("ore", bad, params)
 
 
-def check_mcdiarmid_yolov(g: Graph, alpha_tilde: int | None = None) -> ConditionReport:
+def check_mcdiarmid_yolov(g: Graph) -> ConditionReport:
     """Minimum degree at least the bipartite-hole-number, order >= 3."""
-    at = hole_number(g) if alpha_tilde is None else alpha_tilde
+    at = hole_number(g)
     return _degree_floor("mcdiarmid_yolov", g, at, {"alpha_tilde": at})
 
 
-def check_zhou(g: Graph, alpha_tilde: int | None = None) -> ConditionReport:
+def check_zhou(g: Graph) -> ConditionReport:
     """Minimum degree at least the bipartite-hole-number plus one, order >= 3."""
-    at = hole_number(g) if alpha_tilde is None else alpha_tilde
+    at = hole_number(g)
     return _degree_floor("zhou", g, at + 1, {"alpha_tilde": at})
 
 

@@ -139,14 +139,18 @@ def enumerate_labeled(
     astronomically long); the gate raises at the call, before any graph or
     mask count is built.
     """
+    _check_enumeration_order(n, allow_large)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return _graphs_of_masks(n, pairs, range(1 << len(pairs)) if masks is None else masks)
+
+
+def _check_enumeration_order(n: int, allow_large: bool) -> None:
     gate = ENUMERATION_HARD_GATE if allow_large else ENUMERATION_DEFAULT_GATE
     if n < 0 or n > gate:
         raise ValueError(
             f"enumeration gated at n <= {gate}"
             + ("" if allow_large else " (pass allow_large=True for 7..8)")
         )
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return _graphs_of_masks(n, pairs, range(1 << len(pairs)) if masks is None else masks)
 
 
 def _graphs_of_masks(n: int, pairs: list[tuple[int, int]], masks: range) -> Iterator[Graph]:

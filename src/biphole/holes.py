@@ -252,11 +252,11 @@ def _naive_hole(
     return None
 
 
-def naive_hole_oracle(g: Graph, s: int, t: int, max_n: int | None = None) -> HoleWitness | None:
+def naive_hole_oracle(g: Graph, s: int, t: int) -> HoleWitness | None:
     """Double enumeration over all (S, T) pairs; correctness anchor for find_hole."""
     if s < 1 or t < 1:
         raise ValueError("hole sides must have size at least 1")
-    _guard(g, max_n)
+    _guard(g)
     n = g.n
     hole = _naive_hole(n, [g.adj_mask(v) | 1 << v for v in range(n)], s, t)
     if hole is None:
@@ -265,11 +265,11 @@ def naive_hole_oracle(g: Graph, s: int, t: int, max_n: int | None = None) -> Hol
     return HoleWitness(frozenset(s_set), frozenset(iter_bits(tm)))
 
 
-def naive_hole_number(g: Graph, max_n: int | None = None) -> int:
+def naive_hole_number(g: Graph) -> int:
     """Hole-number by brute force, independent of the fast search."""
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    _guard(g, max_n)
+    _guard(g)
     n = g.n
     closed = [g.adj_mask(v) | 1 << v for v in range(n)]
     k = 0

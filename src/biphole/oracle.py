@@ -2,9 +2,9 @@
 
 Plain backtracking over vertex sequences with two safe prunes: every still
 required vertex must keep at least two usable neighbors, and everything we
-still owe must stay reachable.  A hard size guard raises instead of hanging;
-``max_n`` raises it per call.  The naive hole oracles in ``holes`` share the
-guard.
+still owe must stay reachable.  A hard size guard raises instead of hanging
+on a graph above ``DEFAULT_LIMIT`` vertices, one limit for every call.  The
+naive hole oracles in ``holes`` share the guard.
 """
 from __future__ import annotations
 
@@ -16,10 +16,9 @@ from .graph import Graph, iter_bits, mask_of
 DEFAULT_LIMIT = 14
 
 
-def _guard(g: Graph, max_n: int | None) -> None:
-    limit = DEFAULT_LIMIT if max_n is None else max_n
-    if g.n > limit:
-        raise SizeGuardError(f"oracle guarded at n <= {limit}; got n = {g.n}")
+def _guard(g: Graph) -> None:
+    if g.n > DEFAULT_LIMIT:
+        raise SizeGuardError(f"oracle guarded at n <= {DEFAULT_LIMIT}; got n = {g.n}")
 
 
 def _reachable(g: Graph, start_mask: int, allowed: int) -> int:
@@ -34,11 +33,9 @@ def _reachable(g: Graph, start_mask: int, allowed: int) -> int:
     return seen
 
 
-def brute_cycle_through_set(
-    g: Graph, required: Iterable[int], max_n: int | None = None
-) -> list[int] | None:
+def brute_cycle_through_set(g: Graph, required: Iterable[int]) -> list[int] | None:
     """Some cycle whose vertex set covers ``required``, or None."""
-    _guard(g, max_n)
+    _guard(g)
     need_mask = mask_of(required)
     if need_mask >> g.n:
         raise ValueError("required vertex outside graph")
@@ -46,7 +43,7 @@ def brute_cycle_through_set(
         return None
     if need_mask == 0:
         for a in range(g.n):
-            found = brute_cycle_through_set(g, [a], max_n=max_n)
+            found = brute_cycle_through_set(g, [a])
             if found is not None:
                 return found
         return None
@@ -80,12 +77,12 @@ def brute_cycle_through_set(
 
 
 def brute_path_through_set(
-    g: Graph, u: int, v: int, required: Iterable[int], max_n: int | None = None
+    g: Graph, u: int, v: int, required: Iterable[int]
 ) -> list[int] | None:
     """Some (u, v)-path whose vertex set covers ``required``, or None."""
     if u == v:
         raise ValueError("endpoints must differ")
-    _guard(g, max_n)
+    _guard(g)
     need_mask = mask_of(required) & ~((1 << u) | (1 << v))
     if (need_mask | (1 << u) | (1 << v)) >> g.n:
         raise ValueError("vertex outside graph")
@@ -116,21 +113,21 @@ def brute_path_through_set(
     return extend([u], 1 << u, need_mask)
 
 
-def brute_hamiltonian(g: Graph, max_n: int | None = None) -> bool:
+def brute_hamiltonian(g: Graph) -> bool:
     """Exact Hamilton cycle decision by backtracking."""
     if g.n < 3:
         return False
-    return brute_cycle_through_set(g, range(g.n), max_n=max_n) is not None
+    return brute_cycle_through_set(g, range(g.n)) is not None
 
 
-def brute_hamiltonian_connected(g: Graph, max_n: int | None = None) -> bool:
+def brute_hamiltonian_connected(g: Graph) -> bool:
     """Hamilton path between every pair of distinct vertices."""
-    _guard(g, max_n)
+    _guard(g)
     if g.n == 1:
         return True
     everything = range(g.n)
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if brute_path_through_set(g, u, v, everything, max_n=max_n) is None:
+            if brute_path_through_set(g, u, v, everything) is None:
                 return False
     return True

@@ -322,15 +322,14 @@ def _heavy_path(g: Graph, u: int, v: int, cert: HoleCertificate) -> OrientedPath
     if cert.value == 1:
         # Hole-number 1 means a complete graph; spell out a Hamilton path.
         rest = sorted(set(range(g.n)) - {u, v})
-        return OrientedPath(g, [u] + rest + [v])
-
-    s = cert.hole_free_pair[0]
-    path = initial_path(g, u, v)
-    while heavy_mask & ~mask_of(path.vertices):
-        path = augment_once(g, path, heavy_mask, s)
-
-    if path.first != u:
-        path = path.flip()
+        path = OrientedPath(g, [u] + rest + [v])
+    else:
+        s = cert.hole_free_pair[0]
+        path = initial_path(g, u, v)
+        while heavy_mask & ~mask_of(path.vertices):
+            path = augment_once(g, path, heavy_mask, s)
+        if path.first != u:
+            path = path.flip()
     if not verify_heavy_path(g, path, u, v, threshold):
         raise InternalInconsistencyError("constructed path failed validation")
     return path

@@ -6,12 +6,14 @@ does not apply, or a list of failure records (empty meaning pass).  The
 facts are computed at most once per graph and shared by every property, so
 a sweep builds each graph's certificate, heavy cycle, heavy path per pair
 and Hamiltonicity oracle once; ``alpha-oracle`` checks that shared
-certificate against the naive search.  The runner walks a graph
-source, optionally fanning out over worker processes, and aggregates a
-deterministic summary; every failure carries the offending graph6 line so it
-can be replayed: a graph6 source's own input line, so that a fault in the
-writer that ``g6-roundtrip`` checks cannot corrupt it, and the written
-graph6 of an enumerated graph.
+certificate, and the profile kernel's ``hole_number``, against the naive
+search.  One runner serves every job count: it cuts the source into chunks
+of graph6 lines or edge-mask ranges and sweeps each with the same batch
+function, in this process for one job and on worker processes for more.
+It aggregates a deterministic summary; every failure carries the offending
+graph6 line so it can be replayed: a graph6 source's own input line, so
+that a fault in the writer that ``g6-roundtrip`` checks cannot corrupt it,
+and the written graph6 of an enumerated graph.
 
 The acceptance suite (``tests/test_acceptance.py``) checks the paper's
 claims through these properties and pins each one's checked count: every
@@ -32,11 +34,12 @@ from .conditions import check_fan_type, check_liu_yuan_zhang
 from .cycles import _cycle_through_heavy, _require_two_connected, verify_heavy_cycle
 from .errors import BipholeError, SizeGuardError, UnknownNameError
 from .formats import parse_graph6, write_graph6
-from .generators import enumerate_labeled, erdos_renyi
+from .generators import _check_enumeration_order, enumerate_labeled, erdos_renyi
 from .graph import Graph
 from .holes import (
     HoleCertificate,
     bipartite_hole_number,
+    hole_number,
     naive_hole_number,
     validate_certificate,
 )
@@ -102,6 +105,11 @@ def _prop_alpha_oracle(g: Graph, facts: GraphFacts):
         )
     if not validate_certificate(g, cert):
         failures.append({"detail": "certificate failed validation"})
+    value = hole_number(g)
+    if value != naive:
+        failures.append(
+            {"detail": f"hole_number {value} disagrees with naive {naive}"}
+        )
     return failures
 
 
@@ -260,37 +268,30 @@ def check_graph(
 
 
 def _run_batch(task) -> SweepResult:
+    """Sweep one chunk of a source: ``("g6", lines, properties)``, where each
+    line is its graph's replay line, or ``("enum", (n, lo, hi), properties)``,
+    the edge masks lo..hi of the order-n enumeration."""
     kind, payload, properties = task
     result = SweepResult()
     if kind == "g6":
-        graphs = _parsed(payload)
+        for line in payload:
+            check_graph(parse_graph6(line), properties, result, line)
     else:
         n, lo, hi = payload
         # run_enumerated has already applied the caller's order gate.
-        graphs = _unlined(enumerate_labeled(n, allow_large=True, masks=range(lo, hi)))
-    for g, line in graphs:
-        check_graph(g, properties, result, line)
+        for g in enumerate_labeled(n, allow_large=True, masks=range(lo, hi)):
+            check_graph(g, properties, result)
     return result
-
-
-def _parsed(lines):
-    """(graph, its input line) for each graph6 line."""
-    return ((parse_graph6(line), line) for line in lines)
-
-
-def _unlined(graphs):
-    """(graph, None) for each graph: it has no input line to replay."""
-    return ((g, None) for g in graphs)
 
 
 def run_enumerated(
     n: int, properties: list[str], jobs: int = 1, allow_large: bool = False
 ) -> SweepResult:
     """Sweep all labeled graphs on exactly n vertices."""
+    _check_enumeration_order(n, allow_large)  # before the mask count below
     return _run(
         properties,
         jobs,
-        _unlined(enumerate_labeled(n, allow_large=allow_large)),
         1 << (n * (n - 1) // 2),
         lambda lo, hi: ("enum", (n, lo, hi), properties),
     )
@@ -300,32 +301,28 @@ def run_graph6_lines(
     lines: list[str], properties: list[str], jobs: int = 1
 ) -> SweepResult:
     return _run(
-        properties,
-        jobs,
-        _parsed(lines),
-        len(lines),
-        lambda lo, hi: ("g6", lines[lo:hi], properties),
+        properties, jobs, len(lines), lambda lo, hi: ("g6", lines[lo:hi], properties)
     )
 
 
-def _run(properties, jobs: int, graphs, total: int, task) -> SweepResult:
-    """Sweep the (graph, input line) pairs ``graphs`` in this process, or
-    hand the chunks ``task(lo, hi)`` of the source's ``total`` graphs to at
-    most one worker per CPU; the chunk size follows the clamped job count.
-    ``jobs`` below 1 raises ``ValueError`` before any graph is drawn."""
+def _run(properties, jobs: int, total: int, task) -> SweepResult:
+    """Sweep the source's ``total`` graphs as the chunks ``task(lo, hi)``,
+    in this process for one job, else on at most one worker per CPU; the
+    chunk size follows the clamped job count.  ``jobs`` below 1 raises
+    ``ValueError`` before any graph is drawn."""
     for name in properties:
         if name not in PROPERTIES:
             raise UnknownNameError("property", name, property_names())
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1; got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
+    chunk = max(1, total // (jobs * 8))
+    tasks = [task(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     result = SweepResult()
-    if jobs <= 1:
-        for g, line in graphs:
-            check_graph(g, properties, result, line)
+    if jobs == 1:
+        for part in map(_run_batch, tasks):
+            result.merge(part)
     else:
-        chunk = max(1, total // (jobs * 8))
-        tasks = [task(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
         # Imported here, so that runs without a pool do not pay ~1.3 MiB for it.
         import multiprocessing
 

@@ -104,7 +104,8 @@ def sweep_two_connected():
 
 
 def test_alpha_oracle_equivalence(sweep_n6, sweep_alpha_corpus):
-    """Hole-number equals naive double enumeration; certificates validate."""
+    """The certificate's value and hole_number equal the naive double
+    enumeration; certificates validate."""
     _assert_pinned(sweep_n6, "alpha-oracle", 33_867)
     _assert_pinned(sweep_alpha_corpus, "alpha-oracle", 1_000)
 

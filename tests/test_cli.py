@@ -266,19 +266,26 @@ def test_sweep_failure_exit_and_dump(capsys, monkeypatch):
 
 
 def test_cycle_and_path_verify_build_one_certificate(capsys, monkeypatch):
+    # The commands run the public constructions, each of which builds the
+    # certificate once; the CLI computes no hole-number of its own.
     import biphole.cli as cli_mod
+    import biphole.cycles as cycles_mod
+    import biphole.paths as paths_mod
 
     calls = []
-    original = cli_mod.bipartite_hole_number
-
-    def counted(g):
-        calls.append(g.n)
-        return original(g)
 
     def forbidden(g):
         raise AssertionError("second hole-number computation")
 
-    monkeypatch.setattr(cli_mod, "bipartite_hole_number", counted)
+    for mod in (cycles_mod, paths_mod):
+        original = mod.bipartite_hole_number
+
+        def counted(g, original=original, where=mod.__name__):
+            calls.append((where, g.n))
+            return original(g)
+
+        monkeypatch.setattr(mod, "bipartite_hole_number", counted)
+    monkeypatch.setattr(cli_mod, "bipartite_hole_number", forbidden)
     monkeypatch.setattr(cli_mod, "hole_number", forbidden)
     code, out, _ = run(capsys, "cycle", "--family", "complete,6", "--verify")
     assert code == 0 and sorted(map(int, out.split())) == list(range(6))
@@ -286,4 +293,23 @@ def test_cycle_and_path_verify_build_one_certificate(capsys, monkeypatch):
         capsys, "path", "--family", "complete,5", "--from", "0", "--to", "4", "--verify"
     )
     assert code == 0 and out.split() == ["0", "1", "2", "3", "4"]
-    assert calls == [6, 5]
+    assert calls == [("biphole.cycles", 6), ("biphole.paths", 5)]
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
+def test_failed_verification_exits_1(capsys, monkeypatch, verify):
+    # Every cycle and path is verified before it is printed, with or
+    # without --verify.
+    import biphole.cycles as cycles_mod
+    import biphole.paths as paths_mod
+
+    monkeypatch.setattr(cycles_mod, "verify_heavy_cycle", lambda *args: False)
+    monkeypatch.setattr(paths_mod, "verify_heavy_path", lambda *args: False)
+    code, out, err = run(capsys, "cycle", "--family", "complete,6", *verify)
+    assert (code, out) == (1, "")
+    assert err == "internal error: constructed cycle failed validation\n"
+    code, out, err = run(
+        capsys, "path", "--family", "complete,5", "--from", "0", "--to", "4", *verify
+    )
+    assert (code, out) == (1, "")
+    assert err == "internal error: constructed path failed validation\n"

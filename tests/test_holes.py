@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biphole.holes as holes_mod
+import biphole.oracle as oracle_mod
 from biphole import (
     Graph,
     HoleCertificate,
@@ -161,17 +162,18 @@ def test_naive_oracle_examples():
     assert w == HoleWitness(frozenset({0, 1}), frozenset({2, 3}))
 
 
-def test_naive_oracle_size_guard():
+def test_naive_oracle_size_guard(monkeypatch):
     with pytest.raises(SizeGuardError):
         naive_hole_oracle(empty(15), 1, 1)
-    assert naive_hole_oracle(empty(15), 1, 1, max_n=15) is not None
-    # Past the default guard the cached t-subset masks are still exact.
-    w = naive_hole_oracle(empty(15), 7, 8, max_n=15)
-    assert w == HoleWitness(frozenset(range(7)), frozenset(range(7, 15)))
-    assert naive_hole_oracle(empty(15), 8, 8, max_n=15) is None
-    assert naive_hole_number(empty(15), max_n=15) == 15
     with pytest.raises(SizeGuardError):
         naive_hole_number(empty(15))
+    monkeypatch.setattr(oracle_mod, "DEFAULT_LIMIT", 15)
+    assert naive_hole_oracle(empty(15), 1, 1) is not None
+    # Past the default guard the cached t-subset masks are still exact.
+    w = naive_hole_oracle(empty(15), 7, 8)
+    assert w == HoleWitness(frozenset(range(7)), frozenset(range(7, 15)))
+    assert naive_hole_oracle(empty(15), 8, 8) is None
+    assert naive_hole_number(empty(15)) == 15
 
 
 @given(graphs(min_n=1, max_n=7))

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import biphole.oracle as oracle_mod
 from biphole import (
     SizeGuardError,
     brute_cycle_through_set,
@@ -57,10 +58,11 @@ def test_hamiltonicity_spots():
     assert not brute_hamiltonian(complete(2))
 
 
-def test_size_guard():
+def test_size_guard(monkeypatch):
     with pytest.raises(SizeGuardError):
         brute_hamiltonian(empty(15))
-    assert brute_hamiltonian(complete(15), max_n=15)
+    monkeypatch.setattr(oracle_mod, "DEFAULT_LIMIT", 15)
+    assert brute_hamiltonian(complete(15))
 
 
 @given(graphs(min_n=3, max_n=7))

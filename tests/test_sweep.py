@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 import biphole.sweep as sweep_mod
-from biphole import Graph, UnknownNameError, complete, write_graph6
+from biphole import Graph, ParseError, UnknownNameError, complete, write_graph6
 from biphole.sweep import (
     SweepResult,
     check_graph,
@@ -143,6 +143,28 @@ def test_chunks_follow_clamped_jobs(monkeypatch):
     assert sizes[-1] == 2 and len(by_lines) == len(lines)
 
 
+def test_one_and_two_jobs_sweep_a_graph6_corpus_alike(monkeypatch):
+    # One runner serves both job counts: the same chunks, swept here or in
+    # the pool, give the same summary and raise the same parse error.
+    def odd_order_fails(g, facts):
+        return [{"detail": "odd order"}] if g.n % 2 else []
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setitem(sweep_mod.PROPERTIES, "synthetic", odd_order_fails)
+    lines = [line for n in (4, 5, 6, 7) for line in random_corpus(6, n, 1, 2, seed=n)]
+    props = ["synthetic", "alpha-oracle", "heavy-cycle"]
+    one, two = (run_graph6_lines(lines, props, jobs=jobs) for jobs in (1, 2))
+    assert len(one.failures) == 12 and one.checked["synthetic"] == 24
+    assert (one.checked, one.skipped, one.failures) == (two.checked, two.skipped, two.failures)
+    bad = lines[:2] + ["D~"] + lines[3:]
+    raised = []
+    for jobs in (1, 2):
+        with pytest.raises(ParseError) as info:
+            run_graph6_lines(bad, props, jobs=jobs)
+        raised.append(str(info.value))
+    assert raised[0] == raised[1]
+
+
 def _counting(monkeypatch, module, name, counts):
     original = getattr(module, name)
 
@@ -175,7 +197,7 @@ def test_one_certificate_per_graph(monkeypatch):
     counts = {}
     for mod in (sweep_mod, cycles_mod, paths_mod, holes_mod, biphole):
         _counting(monkeypatch, mod, "bipartite_hole_number", counts)
-    for mod in (conditions_mod, holes_mod, biphole):
+    for mod in (sweep_mod, conditions_mod, holes_mod, biphole):
         _counting(monkeypatch, mod, "hole_number", counts)
     # Each construction, oracle call and 2-connectivity test once per
     # graph (per pair for paths), though several properties read them.
@@ -187,7 +209,8 @@ def test_one_certificate_per_graph(monkeypatch):
     result = run_enumerated(5, list(property_names()))
     assert result.ok
     assert result.checked["alpha-oracle"] == 1 << 10
-    assert counts == {"bipartite_hole_number": 1 << 10}
+    # alpha-oracle checks the kernel's hole_number once per graph too.
+    assert counts == {"bipartite_hole_number": 1 << 10, "hole_number": 1 << 10}
     assert result.checked["min-degree-ham"] and result.checked["min-degree-hc"]
     for name, seen in keys.items():
         assert seen and len(seen) == len(set(seen)), name
@@ -244,6 +267,11 @@ def _value_off_by_one(monkeypatch):
     )
 
 
+def _hole_number_off_by_one(monkeypatch):
+    real = sweep_mod.hole_number
+    monkeypatch.setattr(sweep_mod, "hole_number", lambda g: real(g) + 1)
+
+
 def _cycle_missing_a_vertex(monkeypatch):
     real = sweep_mod._cycle_through_heavy
     monkeypatch.setattr(
@@ -272,15 +300,21 @@ def _writer_dropping_an_edge(monkeypatch):
 
 K4_PAIRS = list(combinations(range(4), 2))
 
-# property -> (graph6, corruption, graph6 of the failure record, details in
-# the sweep's sorted order).  The replay line is the input line, so the lossy
-# writer cannot corrupt it.
+# property[:corrupted answer] -> (graph6, corruption, graph6 of the failure
+# record, details in the sweep's sorted order).  The replay line is the input
+# line, so the lossy writer cannot corrupt it.
 CORRUPTED = {
     "alpha-oracle": (
         "C~",
         _value_off_by_one,
         "C~",
         ["certificate failed validation", "value 2 disagrees with naive 1"],
+    ),
+    "alpha-oracle:hole_number": (
+        "C~",
+        _hole_number_off_by_one,
+        "C~",
+        ["hole_number 2 disagrees with naive 1"],
     ),
     "heavy-cycle": ("C~", _cycle_missing_a_vertex, "C~", ["cycle failed verification"]),
     "heavy-path": (
@@ -315,12 +349,13 @@ CORRUPTED = {
 }
 
 
-@pytest.mark.parametrize("prop", list(CORRUPTED))
-def test_each_property_reports_a_corrupted_answer(monkeypatch, prop):
-    # K4 ("C~") and C4 ("Cl", hole-number 2 = ceil(4/2)), each with the one
+@pytest.mark.parametrize("case", list(CORRUPTED))
+def test_each_property_reports_a_corrupted_answer(monkeypatch, case):
+    # K4 ("C~") and C4 ("Cl", hole-number 2 = ceil(4/2)), each with one
     # answer the property checks corrupted: a property that compared an
     # answer with itself would report nothing here.
-    g6, corrupt, replay, details = CORRUPTED[prop]
+    prop = case.split(":")[0]
+    g6, corrupt, replay, details = CORRUPTED[case]
     assert run_graph6_lines([g6], [prop]).failures == []
     corrupt(monkeypatch)
     result = run_graph6_lines([g6], [prop])
