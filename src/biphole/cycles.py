@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InternalInconsistencyError, NotTwoConnectedError, WalkError
-from .graph import Graph
+from .graph import Graph, iter_bits, mask_of
 from .holes import HoleCertificate, bipartite_hole_number
 from .walks import Cycle, OrientedPath, is_cycle_sequence
 
@@ -229,5 +229,5 @@ def verify_heavy_cycle(g: Graph, cycle, threshold: int) -> bool:
     seq = list(cycle.vertices) if isinstance(cycle, Cycle) else list(cycle)
     if not is_cycle_sequence(g, seq):
         return False
-    members = set(seq)
-    return all(g.degree(x) < threshold or x in members for x in range(g.n))
+    missing = ((1 << g.n) - 1) & ~mask_of(seq)
+    return all(g.degree(x) < threshold for x in iter_bits(missing))

@@ -2,8 +2,11 @@
 
 graph6 is the interchange format for exhaustive small-graph corpora, so the
 codec here is strict: exact length, printable byte range 63..126, zero
-padding bits, and write(parse(s)) == s.  The edge-list format is a loose
-"n m" header followed by m "u v" lines.  DOT output is one-way.
+padding bits, and write(parse(s)) == s.  The parser reads the body as one
+integer and takes each column of the upper triangle as a vertex mask, the
+graph's own adjacency form, rather than one bit at a time.  The edge-list
+format is a loose "n m" header followed by m "u v" lines.  DOT output is
+one-way.
 """
 from __future__ import annotations
 
@@ -20,56 +23,67 @@ def _pair_bits(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
+# Each graph6 character to its six data bits, most significant first.
+_SIX_BITS = {code: format(code - 63, "06b") for code in range(63, 127)}
+
+
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line (optional >>graph6<< header allowed)."""
+    """Decode one graph6 line (optional >>graph6<< header allowed).
+
+    The body is read as one integer whose bit k is the k-th pair of
+    ``_pair_bits``.  In that column-major order the pairs (i, j), i < j,
+    of one column j are j consecutive bits, in order of i, so each column
+    is the mask of j's neighbours below j; its set bits are walked once to
+    add j to those neighbours' masks."""
     line = text.rstrip("\r\n")
     if line.startswith(_HEADER):
         line = line[len(_HEADER) :]
     if not line:
         raise ParseError("empty graph6 string", offset=0)
-    data = []
-    for i, ch in enumerate(line):
-        code = ord(ch)
-        if not 63 <= code <= 126:
-            raise ParseError(f"byte {code} outside graph6 range 63..126", offset=i)
-        data.append(code - 63)
+    if not "?" <= min(line) <= max(line) <= "~":
+        i, code = next((i, ord(ch)) for i, ch in enumerate(line) if not 63 <= ord(ch) <= 126)
+        raise ParseError(f"byte {code} outside graph6 range 63..126", offset=i)
 
-    if data[0] < 63:
-        n = data[0]
-        body = data[1:]
+    if line[0] != "~":
+        n = ord(line[0]) - 63
         body_offset = 1
     else:
-        if len(data) >= 2 and data[1] == 63:
+        if len(line) >= 2 and line[1] == "~":
             raise ParseError("graph6 size class above 258047 not supported", offset=1)
-        if len(data) < 4:
+        if len(line) < 4:
             raise ParseError("truncated graph6 size field", offset=len(line))
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
+        n = ((ord(line[1]) - 63) << 12) | ((ord(line[2]) - 63) << 6) | (ord(line[3]) - 63)
         body_offset = 4
     if n > MAX_VERTICES:
         raise ParseError(f"order {n} exceeds supported maximum {MAX_VERTICES}", offset=0)
 
     nbits = n * (n - 1) // 2
     expect = (nbits + 5) // 6
-    if len(body) < expect:
+    groups = len(line) - body_offset
+    if groups < expect:
         raise ParseError(
-            f"graph6 body too short: {len(body)} groups, expected {expect}",
+            f"graph6 body too short: {groups} groups, expected {expect}",
             offset=len(line),
         )
-    if len(body) > expect:
+    if groups > expect:
         raise ParseError("trailing garbage after graph6 body", offset=body_offset + expect)
 
     adj = [0] * n
-    pairs = _pair_bits(n)
-    for k in range(len(body) * 6):
-        bit = (body[k // 6] >> (5 - k % 6)) & 1
-        if k < nbits:
-            if bit:
-                i, j = pairs[k]
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        elif bit:
-            raise ParseError("nonzero padding bits", offset=body_offset + k // 6)
+    if not nbits:
+        return Graph._from_adj(n, adj)
+    # Reversed, the bit string has pair 0 lowest and the padding on top.
+    bits = int(line[body_offset:].translate(_SIX_BITS)[::-1], 2)
+    if bits >> nbits:
+        raise ParseError("nonzero padding bits", offset=body_offset + expect - 1)
+    for j in range(1, n):
+        column = bits & ((1 << j) - 1)
+        bits >>= j
+        adj[j] = column
+        bj = 1 << j
+        while column:
+            low = column & -column
+            adj[low.bit_length() - 1] |= bj
+            column ^= low
     return Graph._from_adj(n, adj)
 
 

@@ -7,7 +7,9 @@ least k such that some split s + t = k + 1 (s, t >= 1) admits no such hole.
 Key reduction: an (s,t)-hole exists iff some s-set S has |N[S]| <= n - t,
 because T must avoid S and all its neighbors.  Enumeration is lexicographic
 over the smaller side, so witnesses are deterministic: S is the first s-set
-that fits, T the first t vertices outside N[S].
+that fits, T the first t vertices outside N[S].  A witness keeps both sides
+as vertex masks, like the graph's adjacency, so T is the lowest t bits of
+the complement of N[S], and checking a witness is a few ANDs.
 
 The certificate search ascends the levels k + 1 = 2, 3, ... with one
 lexicographic cursor per s.  From one level to the next t = k + 1 - s grows
@@ -31,8 +33,12 @@ found for that s.  An s ends early once some set has |N[S]| <= s + n - best,
 because then its term is no smaller than the best one.  The scan over s
 stops once 2s > best: swapping the sides of a hole-free split, some term
 that attains the number k has 2s <= k + 1, and while best > k such an s is
-still ahead with 2s <= best.  The certificate stays on the lexicographic
-cursor, whose witnesses are pinned, and the two searches check each other.
+still ahead with 2s <= best.  The kernel also returns the smallest s whose
+term attains the number k: (s, k + 1 - s) is then hole-free and no smaller
+s has a hole-free split of k + 1, so it is the pair the certificate
+records.  The certificate stays on the lexicographic cursor, whose
+witnesses are pinned, and the two searches check each other on the value
+and on that pair.
 
 The naive oracles are the independent anchor for n <= 14 and call none of
 the above: for each s-set S in lexicographic order they walk the
@@ -50,33 +56,90 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import Iterable
 
 from .graph import Graph, iter_bits, mask_of
 from .oracle import _guard
 
 
-@dataclass(frozen=True)
-class HoleWitness:
-    """Disjoint sets with no crossing edge; sizes are (s, t) = (|S|, |T|)."""
+def _side_mask(side: Iterable[int]) -> int:
+    side = tuple(side)
+    if side and min(side) < 0:
+        raise ValueError(f"hole side has negative vertex id {min(side)}")
+    return mask_of(side)
 
-    s_side: frozenset[int]
-    t_side: frozenset[int]
+
+class HoleWitness:
+    """Disjoint sets with no crossing edge; sizes are (s, t) = (|S|, |T|).
+
+    The sides are kept as the vertex masks ``s_mask`` and ``t_mask``;
+    ``s_side`` and ``t_side`` are frozensets built when read.  A mask has
+    no bit for a negative vertex id, so the constructor raises
+    ``ValueError`` for one.  Witnesses are immutable, equal when their
+    masks are, and hashable.
+    """
+
+    __slots__ = ("s_mask", "t_mask")
+
+    def __init__(self, s_side: Iterable[int], t_side: Iterable[int]):
+        object.__setattr__(self, "s_mask", _side_mask(s_side))
+        object.__setattr__(self, "t_mask", _side_mask(t_side))
+
+    @classmethod
+    def _from_masks(cls, s_mask: int, t_mask: int) -> "HoleWitness":
+        # Trusted fast path: both masks are non-negative.
+        w = object.__new__(cls)
+        object.__setattr__(w, "s_mask", s_mask)
+        object.__setattr__(w, "t_mask", t_mask)
+        return w
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"HoleWitness is immutable; cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"HoleWitness is immutable; cannot delete {name}")
+
+    def __reduce__(self):
+        # For pickle and copy, which would otherwise set the slots one by one.
+        return HoleWitness._from_masks, (self.s_mask, self.t_mask)
+
+    @property
+    def s_side(self) -> frozenset[int]:
+        return frozenset(iter_bits(self.s_mask))
+
+    @property
+    def t_side(self) -> frozenset[int]:
+        return frozenset(iter_bits(self.t_mask))
 
     @property
     def sizes(self) -> tuple[int, int]:
-        return len(self.s_side), len(self.t_side)
+        return self.s_mask.bit_count(), self.t_mask.bit_count()
 
     def swapped(self) -> "HoleWitness":
-        return HoleWitness(self.t_side, self.s_side)
+        return HoleWitness._from_masks(self.t_mask, self.s_mask)
 
     def is_valid(self, g: Graph) -> bool:
-        if not self.s_side or not self.t_side:
+        sm, tm = self.s_mask, self.t_mask
+        if not sm or not tm or (sm | tm) >> g.n or sm & tm:
             return False
-        sm = mask_of(self.s_side)
-        tm = mask_of(self.t_side)
-        if (sm | tm) >> g.n or sm & tm:
-            return False
-        return all(g.adj_mask(v) & tm == 0 for v in self.s_side)
+        adj = g._adj
+        while sm:
+            low = sm & -sm
+            if adj[low.bit_length() - 1] & tm:
+                return False
+            sm ^= low
+        return True
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.s_mask == other.s_mask and self.t_mask == other.t_mask
+
+    def __hash__(self):
+        return hash((self.s_mask, self.t_mask))
+
+    def __repr__(self):
+        return f"HoleWitness(s_side={self.s_side!r}, t_side={self.t_side!r})"
 
 
 @dataclass(frozen=True)
@@ -141,9 +204,14 @@ def _fitting_sets(closed: list[int], s: int):
 
 def _witness(n: int, subset: tuple[int, ...], mask: int, t: int) -> HoleWitness:
     """S = ``subset`` with closed neighbourhood ``mask``; T = the first t
-    vertices outside it."""
-    free = [v for v in range(n) if not (mask >> v & 1)]
-    return HoleWitness(frozenset(subset), frozenset(free[:t]))
+    vertices outside it, the lowest t bits of the complement."""
+    free = ~mask & ((1 << n) - 1)
+    tm = 0
+    for _ in range(t):
+        low = free & -free
+        tm |= low
+        free ^= low
+    return HoleWitness._from_masks(mask_of(subset), tm)
 
 
 def _closed_masks(g: Graph) -> list[int]:
@@ -262,7 +330,7 @@ def naive_hole_oracle(g: Graph, s: int, t: int) -> HoleWitness | None:
     if hole is None:
         return None
     s_set, tm = hole
-    return HoleWitness(frozenset(s_set), frozenset(iter_bits(tm)))
+    return HoleWitness._from_masks(mask_of(s_set), tm)
 
 
 def naive_hole_number(g: Graph) -> int:
@@ -306,17 +374,23 @@ def _min_union(order: list[int], s: int, enough: int) -> int:
     return best
 
 
-def _profile_kernel(closed: list[int]) -> int:
-    """The least s + n - f(s), f(s) the least |N[S]| over the s-sets; only
-    the s with 2s <= best are scanned (see the module docstring)."""
+def _profile_kernel(closed: list[int]) -> tuple[int, int]:
+    """The least s + n - f(s), f(s) the least |N[S]| over the s-sets, and
+    the smallest s that attains it; only the s with 2s <= best are scanned
+    (see the module docstring).  That s is the certificate's: (s, k + 1 - s)
+    is hole-free for k the value, and no smaller s has a hole-free split
+    of k + 1."""
     n = len(closed)
     order = sorted(closed, key=int.bit_count)
     best = n
+    best_s = 1  # every term is at most n, so s = 1 attains n if none is less
     s = 1
     while 2 * s <= best:
-        best = min(best, s + n - _min_union(order, s, s + n - best))
+        term = s + n - _min_union(order, s, s + n - best)
+        if term < best:
+            best, best_s = term, s
         s += 1
-    return best
+    return best, best_s
 
 
 def hole_number(g: Graph) -> int:
@@ -324,4 +398,4 @@ def hole_number(g: Graph) -> int:
     kernel instead of the certificate's cursor search."""
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    return _profile_kernel(_closed_masks(g))
+    return _profile_kernel(_closed_masks(g))[0]

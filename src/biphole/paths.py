@@ -41,7 +41,7 @@ from .errors import (
     DisconnectedError,
     InternalInconsistencyError,
 )
-from .graph import Graph, mask_of
+from .graph import Graph, iter_bits, mask_of
 from .holes import HoleCertificate, bipartite_hole_number
 from .walks import OrientedPath, is_path_sequence
 
@@ -343,5 +343,5 @@ def verify_heavy_path(g: Graph, path, u: int, v: int, threshold: int) -> bool:
         return False
     if {seq[0], seq[-1]} != {u, v}:
         return False
-    members = set(seq)
-    return all(g.degree(x) < threshold or x in members for x in range(g.n))
+    missing = ((1 << g.n) - 1) & ~mask_of(seq)
+    return all(g.degree(x) < threshold for x in iter_bits(missing))

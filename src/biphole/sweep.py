@@ -6,8 +6,9 @@ does not apply, or a list of failure records (empty meaning pass).  The
 facts are computed at most once per graph and shared by every property, so
 a sweep builds each graph's certificate, heavy cycle, heavy path per pair
 and Hamiltonicity oracle once; ``alpha-oracle`` checks that shared
-certificate, and the profile kernel's ``hole_number``, against the naive
-search.  One runner serves every job count: it cuts the source into chunks
+certificate, and the value of the profile kernel behind ``hole_number``,
+against the naive search, and the kernel's hole-free split against the
+certificate's.  One runner serves every job count: it cuts the source into chunks
 of graph6 lines or edge-mask ranges and sweeps each with the same batch
 function, in this process for one job and on worker processes for more.
 It aggregates a deterministic summary; every failure carries the offending
@@ -38,8 +39,9 @@ from .generators import _check_enumeration_order, enumerate_labeled, erdos_renyi
 from .graph import Graph
 from .holes import (
     HoleCertificate,
+    _closed_masks,
+    _profile_kernel,
     bipartite_hole_number,
-    hole_number,
     naive_hole_number,
     validate_certificate,
 )
@@ -105,10 +107,15 @@ def _prop_alpha_oracle(g: Graph, facts: GraphFacts):
         )
     if not validate_certificate(g, cert):
         failures.append({"detail": "certificate failed validation"})
-    value = hole_number(g)
+    value, s = _profile_kernel(_closed_masks(g))
     if value != naive:
         failures.append(
             {"detail": f"hole_number {value} disagrees with naive {naive}"}
+        )
+    if (s, value + 1 - s) != cert.hole_free_pair:
+        failures.append(
+            {"detail": f"kernel split {(s, value + 1 - s)} differs from "
+             f"the certificate's {cert.hole_free_pair}"}
         )
     return failures
 

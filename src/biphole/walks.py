@@ -16,11 +16,13 @@ def _check_sequence(g: Graph, vertices: Sequence[int], kind: str) -> tuple[int, 
     verts = tuple(vertices)
     if len(set(verts)) != len(verts):
         raise WalkError(f"{kind} repeats a vertex: {verts}")
-    for v in verts:
-        if not 0 <= v < g.n:
-            raise WalkError(f"{kind} vertex {v} outside graph")
+    n = g.n
+    if verts and not (0 <= min(verts) and max(verts) < n):
+        v = next(v for v in verts if not 0 <= v < n)
+        raise WalkError(f"{kind} vertex {v} outside graph")
+    adj = g._adj
     for a, b in zip(verts, verts[1:]):
-        if not g.has_edge(a, b):
+        if not adj[a] >> b & 1:
             raise WalkError(f"{kind} uses non-edge ({a},{b})")
     return verts
 

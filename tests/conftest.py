@@ -17,6 +17,24 @@ def graphs(draw, min_n=0, max_n=8):
     return Graph(n, picks)
 
 
+@st.composite
+def walk_candidates(draw, max_n=7):
+    """A graph and a vertex sequence: half the time a simple path of the
+    graph grown one unvisited neighbour at a time, else any ids in -1..n,
+    repeats allowed."""
+    g = draw(graphs(min_n=1, max_n=max_n))
+    if draw(st.booleans()):
+        seq = [draw(st.integers(0, g.n - 1))]
+        while draw(st.integers(0, 4)):
+            step = [w for w in g.neighbors(seq[-1]) if w not in seq]
+            if not step:
+                break
+            seq.append(draw(st.sampled_from(step)))
+    else:
+        seq = draw(st.lists(st.integers(-1, g.n), max_size=g.n + 1))
+    return g, seq
+
+
 def seeded_graphs(count, max_n, seed, min_n=1, densities=((1, 4), (1, 2), (3, 4))):
     """Deterministic mixed-density corpus used by several sweeps."""
     out = []

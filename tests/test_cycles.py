@@ -1,5 +1,9 @@
 """Heavy-cycle construction, checked against the brute-force oracle."""
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biphole.cycles as cycles_mod
 from biphole import (
@@ -21,7 +25,7 @@ from biphole import (
 )
 from biphole.generators import enumerate_labeled
 
-from conftest import seeded_two_connected
+from conftest import seeded_two_connected, walk_candidates
 
 K4_MINUS_EDGE = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
 
@@ -39,6 +43,44 @@ def test_verify_heavy_cycle():
     assert not verify_heavy_cycle(k4, [0, 1, 2], 1)  # vertex 3 heavy, missing
     assert verify_heavy_cycle(k4, [0, 1, 2], 4)  # nobody heavy
     assert not verify_heavy_cycle(cycle(5), [0, 2, 4], 99)  # non-edges
+
+
+def _set_verify_heavy_cycle(g, cyc, threshold):
+    """``verify_heavy_cycle`` as first written, the reference for the mask
+    of missing vertices: a set of the cycle's vertices, and the walk checks
+    of the time, by ``has_edge``."""
+    seq = list(cyc.vertices) if isinstance(cyc, Cycle) else list(cyc)
+    if len(set(seq)) != len(seq) or not all(0 <= x < g.n for x in seq):
+        return False
+    if len(seq) < 3 or not all(g.has_edge(a, b) for a, b in zip(seq, seq[1:] + seq[:1])):
+        return False
+    members = set(seq)
+    return all(g.degree(x) < threshold or x in members for x in range(g.n))
+
+
+@given(walk_candidates(), st.integers(0, 7))
+@settings(max_examples=400, deadline=None)
+def test_verify_heavy_cycle_matches_set_based_reference(case, threshold):
+    g, seq = case
+    want = _set_verify_heavy_cycle(g, seq, threshold)
+    assert verify_heavy_cycle(g, seq, threshold) == want
+    if want:
+        assert verify_heavy_cycle(g, Cycle(g, seq), threshold)
+
+
+def test_verify_heavy_cycle_matches_set_based_reference_exhaustively():
+    # Every labeled graph with n <= 4, every sequence of distinct vertices,
+    # every threshold.
+    checked = 0
+    for n in range(1, 5):
+        for g in enumerate_labeled(n):
+            for k in range(n + 1):
+                for seq in permutations(range(n), k):
+                    for threshold in range(n + 1):
+                        want = _set_verify_heavy_cycle(g, seq, threshold)
+                        assert verify_heavy_cycle(g, seq, threshold) == want
+                        checked += want
+    assert checked == 984
 
 
 def test_rotation_on_four_path():

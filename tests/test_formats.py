@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,9 @@ from biphole import (
     write_edge_list,
     write_graph6,
 )
+
+from biphole.generators import enumerate_labeled
+from biphole.graph import MAX_VERTICES
 
 from conftest import graphs
 
@@ -80,6 +85,109 @@ def test_graph6_never_panics(text):
         parse_graph6(text)
     except ParseError:
         pass
+
+
+def _bitwise_parse_graph6(text):
+    """``parse_graph6`` as first written, the reference for the one-integer
+    decoder: the same checks in the same order, then one bit at a time
+    through the column-major pair list."""
+    line = text.rstrip("\r\n")
+    if line.startswith(">>graph6<<"):
+        line = line[len(">>graph6<<") :]
+    if not line:
+        raise ParseError("empty graph6 string", offset=0)
+    data = []
+    for i, ch in enumerate(line):
+        code = ord(ch)
+        if not 63 <= code <= 126:
+            raise ParseError(f"byte {code} outside graph6 range 63..126", offset=i)
+        data.append(code - 63)
+    if data[0] < 63:
+        n = data[0]
+        body = data[1:]
+        body_offset = 1
+    else:
+        if len(data) >= 2 and data[1] == 63:
+            raise ParseError("graph6 size class above 258047 not supported", offset=1)
+        if len(data) < 4:
+            raise ParseError("truncated graph6 size field", offset=len(line))
+        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        body = data[4:]
+        body_offset = 4
+    if n > MAX_VERTICES:
+        raise ParseError(f"order {n} exceeds supported maximum {MAX_VERTICES}", offset=0)
+    nbits = n * (n - 1) // 2
+    expect = (nbits + 5) // 6
+    if len(body) < expect:
+        raise ParseError(
+            f"graph6 body too short: {len(body)} groups, expected {expect}",
+            offset=len(line),
+        )
+    if len(body) > expect:
+        raise ParseError("trailing garbage after graph6 body", offset=body_offset + expect)
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    edges = []
+    for k in range(len(body) * 6):
+        bit = (body[k // 6] >> (5 - k % 6)) & 1
+        if k < nbits:
+            if bit:
+                edges.append(pairs[k])
+        elif bit:
+            raise ParseError("nonzero padding bits", offset=body_offset + k // 6)
+    return Graph(n, edges)
+
+
+def _decoded(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+def _mutations(line):
+    """Every character replaced, one dropped or one added, every prefix,
+    and the line padded with a header, line ends or a stray byte."""
+    swaps = "?@_w}~" + chr(62) + chr(127) + "\xe9"
+    for i in range(len(line)):
+        for ch in swaps:
+            yield line[:i] + ch + line[i + 1 :]
+        yield line[:i] + line[i + 1 :]
+        yield line[:i]
+    for ch in swaps:
+        yield line + ch
+    for pad in (">>graph6<<", ">>graph6<<>>graph6<<", ">>graph6", " "):
+        yield pad + line
+    for end in ("\n", "\r\n", "\n\n", " \n"):
+        yield line + end
+
+
+def test_graph6_decoder_matches_bitwise_reference():
+    # The same graph, or the same ParseError message and offset, as the
+    # bit-by-bit decoder: on every labeled graph with n <= 6, on every
+    # mutation of the n <= 5 ones, and on mutations of large orders, whose
+    # size field is "~" and three bytes.
+    lines = [write_graph6(g) for n in range(7) for g in enumerate_labeled(n)]
+    assert len(lines) == 33_868
+    for line in lines:
+        assert parse_graph6(line) == _bitwise_parse_graph6(line)
+        header = ">>graph6<<" + line + "\n"
+        assert parse_graph6(header) == _bitwise_parse_graph6(header)
+    mutated = [m for line in lines[:1100] for m in _mutations(line)]
+    large = [write_graph6(path(n)) for n in (62, 63, 100, MAX_VERTICES)]
+    mutated += [m for line in large for m in _mutations(line[:8]) if len(m) > 4]
+    mutated += [line[:-1] + "A" for line in large] + ["~~", "~?", "~??", "~?~", "~?G@"]
+    outcomes = set()
+    for text in mutated:
+        got = _decoded(parse_graph6, text)
+        assert got == _decoded(_bitwise_parse_graph6, text), text
+        outcomes.add(re.sub(r"\b\d+\b", "#", got[0]) if isinstance(got, tuple) else "graph")
+    assert len(outcomes) == 9  # a graph, and each of the eight errors
+
+
+@given(st.text(alphabet="?@ABC_owz}~>" + chr(127), max_size=12))
+@settings(max_examples=400)
+def test_graph6_decoder_matches_bitwise_reference_on_any_text(text):
+    assert _decoded(parse_graph6, text) == _decoded(_bitwise_parse_graph6, text)
 
 
 def test_edge_list_roundtrip():

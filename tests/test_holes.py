@@ -1,5 +1,7 @@
 """Hole search and the hole-number, anchored to the naive double enumeration."""
+import copy
 import dataclasses
+import pickle
 import time
 from itertools import combinations
 
@@ -77,11 +79,16 @@ def test_hole_number_spot_values():
 def test_kernel_agrees_with_the_certificate():
     # Every labeled graph with n <= 6 and the 400 seeded G(n, p) of the
     # pinned certificate digest: the pruned kernel and the cursor ascent are
-    # two searches that check each other.
+    # two searches that check each other, on the value and on the hole-free
+    # split, the kernel's being (s, k + 1 - s) for its smallest minimising s.
     corpus = [g for n in range(1, 7) for g in enumerate_labeled(n)]
     corpus += [erdos_renyi(7 + i % 10, *CERTIFICATE_P[i % 4], 11000 + i) for i in range(400)]
+    assert len(corpus) == 34_267
     for g in corpus:
-        assert hole_number(g) == bipartite_hole_number(g).value
+        cert = bipartite_hole_number(g)
+        value, s = holes_mod._profile_kernel(holes_mod._closed_masks(g))
+        assert (value, (s, value + 1 - s)) == (cert.value, cert.hole_free_pair)
+        assert hole_number(g) == value
 
 
 def test_kernel_values_above_the_cursor_reach():
@@ -139,6 +146,13 @@ def test_validate_certificate_rejects_malformed_certificates():
         dataclasses.replace(cert, level_witnesses=(ws[0].swapped(), *ws[1:])),
     ]:
         assert not validate_certificate(g, bogus)
+    # A negative vertex id has no bit in a side mask: the witness is refused
+    # when it is built, so no certificate can carry it into validation.
+    with pytest.raises(ValueError, match="negative vertex id -1"):
+        dataclasses.replace(
+            cert,
+            level_witnesses=(HoleWitness(frozenset({-1}), frozenset({2, 3, 4, 5})), *ws[1:]),
+        )
 
 
 def test_hole_witness_rejects_malformed_sides():
@@ -149,6 +163,69 @@ def test_hole_witness_rejects_malformed_sides():
     assert not HoleWitness(frozenset({0, 1}), frozenset({1, 2})).is_valid(g)
     assert not HoleWitness(frozenset({0}), frozenset({4})).is_valid(g)
     assert not HoleWitness(frozenset({9}), frozenset({0})).is_valid(g)
+    for s_side, t_side in [({-1}, {2}), ({2}, {-1}), ({0, -3}, {1})]:
+        with pytest.raises(ValueError, match="negative vertex id"):
+            HoleWitness(frozenset(s_side), frozenset(t_side))
+
+
+@dataclasses.dataclass(frozen=True)
+class _SetWitness:
+    """``HoleWitness`` as first written, the reference for the masks: a
+    frozen dataclass of two frozensets."""
+
+    s_side: frozenset
+    t_side: frozenset
+
+    @property
+    def sizes(self):
+        return len(self.s_side), len(self.t_side)
+
+    def swapped(self):
+        return _SetWitness(self.t_side, self.s_side)
+
+    def is_valid(self, g):
+        if not self.s_side or not self.t_side:
+            return False
+        sm = mask_of(self.s_side)
+        tm = mask_of(self.t_side)
+        if (sm | tm) >> g.n or sm & tm:
+            return False
+        return all(g.adj_mask(v) & tm == 0 for v in self.s_side)
+
+
+# Empty, overlapping, out-of-range and negative sides all occur.
+_sides = st.frozensets(st.integers(-2, 9), max_size=5)
+
+
+@given(graphs(max_n=8), st.lists(st.tuples(_sides, _sides), min_size=1, max_size=4))
+@settings(max_examples=400, deadline=None)
+@example(empty(4), [(frozenset({0, 1}), frozenset({2, 3}))] * 2)
+@example(empty(4), [(frozenset({0, 1}), frozenset({1, 2})), (frozenset(), frozenset({1}))])
+@example(cycle(5), [(frozenset({0}), frozenset({2, 3})), (frozenset({-1}), frozenset({2}))])
+def test_hole_witness_matches_set_based_reference(g, sides):
+    built = []
+    for s_side, t_side in sides:
+        if min(s_side | t_side, default=0) < 0:
+            with pytest.raises(ValueError, match="negative vertex id"):
+                HoleWitness(s_side, t_side)
+            continue
+        w, ref = HoleWitness(s_side, t_side), _SetWitness(s_side, t_side)
+        assert (w.s_side, w.t_side) == (ref.s_side, ref.t_side)
+        assert w.sizes == ref.sizes
+        assert w.is_valid(g) == ref.is_valid(g)
+        assert w.swapped() == HoleWitness(t_side, s_side)
+        assert w.swapped().is_valid(g) == ref.swapped().is_valid(g)
+        with pytest.raises(AttributeError):
+            w.s_mask = 0
+        assert pickle.loads(pickle.dumps(w)) == w == copy.deepcopy(w)
+        built.append((w, ref))
+    for w, ref in built:
+        for w2, ref2 in built:
+            assert (w == w2) == (ref == ref2)
+            assert w != ref2 and (w != w2) == (ref != ref2)
+            if w == w2:
+                assert hash(w) == hash(w2)
+    assert len({w for w, _ in built}) == len({ref for _, ref in built})
 
 
 def test_certificate_smallest_s_first():

@@ -1,4 +1,6 @@
 """Heavy-path construction, checked against the brute-force oracle."""
+from itertools import permutations
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ from biphole import (
 from biphole.generators import enumerate_labeled, erdos_renyi
 from biphole.graph import mask_of
 
-from conftest import graphs, seeded_graphs
+from conftest import graphs, seeded_graphs, walk_candidates
 
 K4_MINUS_EDGE = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
 
@@ -59,6 +61,49 @@ def test_verify_heavy_path():
     assert not verify_heavy_path(path(3), [0, 2], 0, 2, 0)  # non-edge
     assert verify_heavy_path(k4, [3, 1, 2, 0], 0, 3, 2)  # reverse orientation ok
     assert not verify_heavy_path(k4, [0, 1, 3, 2], 0, 3, 2)  # ends at 2, not 3
+
+
+def _set_verify_heavy_path(g, path, u, v, threshold):
+    """``verify_heavy_path`` as first written, the reference for the mask
+    of missing vertices: a set of the path's vertices, and the walk checks
+    of the time, by ``has_edge``."""
+    seq = list(path.vertices) if isinstance(path, OrientedPath) else list(path)
+    if not seq or len(set(seq)) != len(seq) or not all(0 <= x < g.n for x in seq):
+        return False
+    if not all(g.has_edge(a, b) for a, b in zip(seq, seq[1:])):
+        return False
+    if {seq[0], seq[-1]} != {u, v}:
+        return False
+    members = set(seq)
+    return all(g.degree(x) < threshold or x in members for x in range(g.n))
+
+
+@given(walk_candidates(), st.integers(0, 7), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_verify_heavy_path_matches_set_based_reference(case, threshold, at_ends):
+    g, seq = case
+    ends = [(seq[0], seq[-1]), (seq[-1], seq[0])] if seq and at_ends else [(0, g.n - 1)]
+    for u, v in ends:
+        want = _set_verify_heavy_path(g, seq, u, v, threshold)
+        assert verify_heavy_path(g, seq, u, v, threshold) == want
+        if want:
+            assert verify_heavy_path(g, OrientedPath(g, seq), u, v, threshold)
+
+
+def test_verify_heavy_path_matches_set_based_reference_exhaustively():
+    # Every labeled graph with n <= 4, every sequence of distinct vertices,
+    # each ordered pair of ends and one other pair, every threshold.
+    checked = 0
+    for n in range(1, 5):
+        for g in enumerate_labeled(n):
+            for k in range(1, n + 1):
+                for seq in permutations(range(n), k):
+                    for u, v in {(seq[0], seq[-1]), (seq[-1], seq[0]), (0, n - 1)}:
+                        for threshold in range(n + 1):
+                            want = _set_verify_heavy_path(g, seq, u, v, threshold)
+                            assert verify_heavy_path(g, seq, u, v, threshold) == want
+                            checked += want
+    assert checked == 6_222
 
 
 def test_heavy_path_complete():

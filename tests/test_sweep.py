@@ -197,8 +197,10 @@ def test_one_certificate_per_graph(monkeypatch):
     counts = {}
     for mod in (sweep_mod, cycles_mod, paths_mod, holes_mod, biphole):
         _counting(monkeypatch, mod, "bipartite_hole_number", counts)
-    for mod in (sweep_mod, conditions_mod, holes_mod, biphole):
+    for mod in (conditions_mod, holes_mod, biphole):
         _counting(monkeypatch, mod, "hole_number", counts)
+    for mod in (sweep_mod, holes_mod):
+        _counting(monkeypatch, mod, "_profile_kernel", counts)
     # Each construction, oracle call and 2-connectivity test once per
     # graph (per pair for paths), though several properties read them.
     keys = {}
@@ -209,8 +211,9 @@ def test_one_certificate_per_graph(monkeypatch):
     result = run_enumerated(5, list(property_names()))
     assert result.ok
     assert result.checked["alpha-oracle"] == 1 << 10
-    # alpha-oracle checks the kernel's hole_number once per graph too.
-    assert counts == {"bipartite_hole_number": 1 << 10, "hole_number": 1 << 10}
+    # alpha-oracle runs the profile kernel once per graph too, for its
+    # value and its hole-free split; nothing calls hole_number on top.
+    assert counts == {"bipartite_hole_number": 1 << 10, "_profile_kernel": 1 << 10}
     assert result.checked["min-degree-ham"] and result.checked["min-degree-hc"]
     for name, seen in keys.items():
         assert seen and len(seen) == len(set(seen)), name
@@ -267,9 +270,24 @@ def _value_off_by_one(monkeypatch):
     )
 
 
-def _hole_number_off_by_one(monkeypatch):
-    real = sweep_mod.hole_number
-    monkeypatch.setattr(sweep_mod, "hole_number", lambda g: real(g) + 1)
+def _kernel_value_off_by_one(monkeypatch):
+    real = sweep_mod._profile_kernel
+
+    def corrupted(closed):
+        value, s = real(closed)
+        return value + 1, s
+
+    monkeypatch.setattr(sweep_mod, "_profile_kernel", corrupted)
+
+
+def _kernel_split_one_later(monkeypatch):
+    real = sweep_mod._profile_kernel
+
+    def corrupted(closed):
+        value, s = real(closed)
+        return value, s + 1
+
+    monkeypatch.setattr(sweep_mod, "_profile_kernel", corrupted)
 
 
 def _cycle_missing_a_vertex(monkeypatch):
@@ -312,9 +330,19 @@ CORRUPTED = {
     ),
     "alpha-oracle:hole_number": (
         "C~",
-        _hole_number_off_by_one,
+        _kernel_value_off_by_one,
         "C~",
-        ["hole_number 2 disagrees with naive 1"],
+        [
+            "hole_number 2 disagrees with naive 1",
+            "kernel split (1, 2) differs from the certificate's (1, 1)",
+        ],
+    ),
+    # C4: hole-number 2, hole-free split (1, 2).
+    "alpha-oracle:kernel-split": (
+        "Cl",
+        _kernel_split_one_later,
+        "Cl",
+        ["kernel split (2, 1) differs from the certificate's (1, 2)"],
     ),
     "heavy-cycle": ("C~", _cycle_missing_a_vertex, "C~", ["cycle failed verification"]),
     "heavy-path": (

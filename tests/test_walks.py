@@ -28,3 +28,21 @@ def test_cycle_validation():
     with pytest.raises(WalkError):
         Cycle(cycle(5), [0, 2, 4])  # non-edges
 
+
+
+@pytest.mark.parametrize(
+    "seq,message",
+    [
+        ([0, 5, 0], "path repeats a vertex: (0, 5, 0)"),  # before the range
+        ([0, 2, 5], "path vertex 5 outside graph"),  # before the non-edge
+        ([1, -1], "path vertex -1 outside graph"),
+        ([0, 2, 1], "path uses non-edge (0,2)"),
+        ([0, 1, 2, 0], "path repeats a vertex: (0, 1, 2, 0)"),
+    ],
+)
+def test_walk_errors_report_the_first_fault(seq, message):
+    # Repeats are reported before ids out of range, and those before
+    # non-edges, whatever their positions.
+    with pytest.raises(WalkError) as info:
+        OrientedPath(path(3), seq)
+    assert str(info.value) == message
