@@ -11,34 +11,35 @@ that fits, T the first t vertices outside N[S].  A witness keeps both sides
 as vertex masks, like the graph's adjacency, so T is the lowest t bits of
 the complement of N[S], and checking a witness is a few ANDs.
 
-The certificate search ascends the levels k + 1 = 2, 3, ... with one
-lexicographic cursor per s.  From one level to the next t = k + 1 - s grows
-and the limit n - t falls, so the first fitting s-set can only move forward:
-each split resumes where its s last stopped, a cursor whose set still fits
-is not advanced, and no s-set is scanned twice in one certificate.  A
-cursor walks the (s-1)-prefixes in lexicographic order, ORs each prefix's
-closed masks once and extends it by every later vertex j, one OR per s-set;
-(prefix, j) is ``combinations`` order, so the scan meets the s-sets of a
-plain lexicographic scan in the same order.  It does not skip a prefix
-whose union is already too large, so every s-set before the answer is
-evaluated.  The holes found one level below are the lower-bound witnesses,
-with the sides swapped for s' > k/2.
+One pruned search, ``_min_union``, answers every question with a fixed
+limit: a depth-first search over the s-sets in lexicographic order that
+carries the union of their closed masks and cuts a branch once the union
+is no smaller than the least one recorded.  Over the closed masks in
+vertex order it answers ``find_hole``, ``min_closed_neighborhood`` and the
+hole-free pair of ``validate_certificate`` with the sets of a plain
+lexicographic scan (its docstring says why).
 
-The value alone comes from a second, pruned search over the same
-reduction.  Let f(s) be the least |N[S]| over the s-sets; an (s,t)-hole
-exists iff t <= n - f(s), so the number is the least s + n - f(s).  A
-depth-first search over the vertices, ordered by closed degree, carries the
-union mask and cuts a branch once the union is no smaller than the least
-found for that s.  An s ends early once some set has |N[S]| <= s + n - best,
-because then its term is no smaller than the best one.  The scan over s
-stops once 2s > best: swapping the sides of a hole-free split, some term
-that attains the number k has 2s <= k + 1, and while best > k such an s is
-still ahead with 2s <= best.  The kernel also returns the smallest s whose
-term attains the number k: (s, k + 1 - s) is then hole-free and no smaller
-s has a hole-free split of k + 1, so it is the pair the certificate
-records.  The certificate stays on the lexicographic cursor, whose
-witnesses are pinned, and the two searches check each other on the value
-and on that pair.
+The value alone comes from the same search in the profile kernel.  Let
+f(s) be the least |N[S]| over the s-sets; an (s,t)-hole exists iff
+t <= n - f(s), so the number is the least s + n - f(s).  The kernel orders
+the vertices by closed degree, and an s ends early once some set has
+|N[S]| <= s + n - best, because then its term is no smaller than the best
+one.  The scan over s stops once 2s > best: swapping the sides of a
+hole-free split, some term that attains the number k has 2s <= k + 1, and
+while best > k such an s is still ahead with 2s <= best.  The kernel also
+returns the smallest s whose term attains the number k: (s, k + 1 - s) is
+then hole-free and no smaller s has a hole-free split of k + 1, so it is
+the pair the certificate records.
+
+The certificate ascends the levels k + 1 = 2, 3, ... with one lexicographic
+cursor per s, ``_fitting_sets``, which prunes nothing.  From one level to
+the next t = k + 1 - s grows and the limit n - t falls, so the first
+fitting s-set can only move forward: each split resumes where its s last
+stopped, and no s-set is scanned twice in one certificate.  The holes
+found one level below are the lower-bound witnesses, with the sides
+swapped for s' > k/2.  The cursor and the pruned search check each other:
+the kernel's value and pair against the certificate's, and the
+certificate's pair in ``validate_certificate``.
 
 The naive oracles are the independent anchor for n <= 14 and call none of
 the above: for each s-set S in lexicographic order they walk the
@@ -46,7 +47,7 @@ lexicographic t-subset masks of all n vertices (built once per (n, t) and
 cached) up to the first T that misses S and N(S).  The masks that avoid S
 come in the order of the t-subsets of V - S, so the witness is the plain
 double enumeration's.  The test is an edge check per (S, T), not the |N[S]|
-reduction, so a fault in the cursor search cannot hide in both.
+reduction, so a fault in either search cannot hide in the oracles.
 
 Watch the vacuous case: when s + t > n no hole can exist, so the number of
 an edgeless graph on n vertices is n, and a single vertex gives 1.
@@ -56,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable
 
 from .graph import Graph, iter_bits, mask_of
@@ -69,57 +71,50 @@ def _side_mask(side: Iterable[int]) -> int:
     return mask_of(side)
 
 
-class HoleWitness:
+class HoleWitness(tuple):
     """Disjoint sets with no crossing edge; sizes are (s, t) = (|S|, |T|).
 
-    The sides are kept as the vertex masks ``s_mask`` and ``t_mask``;
+    A witness is the tuple ``(s_mask, t_mask)`` of its sides' vertex masks;
     ``s_side`` and ``t_side`` are frozensets built when read.  A mask has
     no bit for a negative vertex id, so the constructor raises
-    ``ValueError`` for one.  Witnesses are immutable, equal when their
-    masks are, and hashable.
+    ``ValueError`` for one.  As a tuple, a witness is immutable, hashable,
+    ordered, and equal to any tuple of the same two masks.
     """
 
-    __slots__ = ("s_mask", "t_mask")
+    __slots__ = ()
 
-    def __init__(self, s_side: Iterable[int], t_side: Iterable[int]):
-        object.__setattr__(self, "s_mask", _side_mask(s_side))
-        object.__setattr__(self, "t_mask", _side_mask(t_side))
+    def __new__(cls, s_side: Iterable[int], t_side: Iterable[int]):
+        return tuple.__new__(cls, (_side_mask(s_side), _side_mask(t_side)))
 
     @classmethod
     def _from_masks(cls, s_mask: int, t_mask: int) -> "HoleWitness":
         # Trusted fast path: both masks are non-negative.
-        w = object.__new__(cls)
-        object.__setattr__(w, "s_mask", s_mask)
-        object.__setattr__(w, "t_mask", t_mask)
-        return w
+        return tuple.__new__(cls, (s_mask, t_mask))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"HoleWitness is immutable; cannot set {name}")
+    def __getnewargs__(self):
+        # For pickle and copy, which rebuild a tuple subclass through __new__.
+        return self.s_side, self.t_side
 
-    def __delattr__(self, name):
-        raise AttributeError(f"HoleWitness is immutable; cannot delete {name}")
-
-    def __reduce__(self):
-        # For pickle and copy, which would otherwise set the slots one by one.
-        return HoleWitness._from_masks, (self.s_mask, self.t_mask)
+    s_mask = property(itemgetter(0))
+    t_mask = property(itemgetter(1))
 
     @property
     def s_side(self) -> frozenset[int]:
-        return frozenset(iter_bits(self.s_mask))
+        return frozenset(iter_bits(self[0]))
 
     @property
     def t_side(self) -> frozenset[int]:
-        return frozenset(iter_bits(self.t_mask))
+        return frozenset(iter_bits(self[1]))
 
     @property
     def sizes(self) -> tuple[int, int]:
-        return self.s_mask.bit_count(), self.t_mask.bit_count()
+        return self[0].bit_count(), self[1].bit_count()
 
     def swapped(self) -> "HoleWitness":
-        return HoleWitness._from_masks(self.t_mask, self.s_mask)
+        return HoleWitness._from_masks(self[1], self[0])
 
     def is_valid(self, g: Graph) -> bool:
-        sm, tm = self.s_mask, self.t_mask
+        sm, tm = self
         if not sm or not tm or (sm | tm) >> g.n or sm & tm:
             return False
         adj = g._adj
@@ -129,14 +124,6 @@ class HoleWitness:
                 return False
             sm ^= low
         return True
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.s_mask == other.s_mask and self.t_mask == other.t_mask
-
-    def __hash__(self):
-        return hash((self.s_mask, self.t_mask))
 
     def __repr__(self):
         return f"HoleWitness(s_side={self.s_side!r}, t_side={self.t_side!r})"
@@ -158,36 +145,115 @@ class HoleCertificate:
     level_witnesses: tuple[HoleWitness, ...]
 
 
+def _closed_masks(g: Graph) -> list[int]:
+    return [g.adj_mask(v) | (1 << v) for v in range(g.n)]
+
+
+def _min_union(order: list[int], s: int, enough: int) -> tuple[int, int]:
+    """The least popcount of an OR of s masks of ``order``, or the first one
+    found that is at most ``enough``, with the mask of the positions in
+    ``order`` of its s masks.
+
+    The s-sets of positions are searched in lexicographic order; a set is
+    recorded only if its size is below ``best``, the least recorded so far,
+    and a branch is cut once its union is no smaller than ``best``.  In
+    vertex order, if F is the first s-set with |N[F]| <= ``enough``, every
+    set recorded before F, and so ``best``, is larger than ``enough`` while
+    every prefix of F has a union no larger, so F is reached and recorded.
+    With ``enough`` = -1 the same holds for the first lexicographic argmin,
+    and no later set is recorded, as none is smaller.
+    """
+    n = len(order)
+    best = n + 1
+    best_mask = 0
+
+    def extend(start: int, left: int, union: int, picked: int) -> bool:
+        nonlocal best, best_mask
+        for i in range(start, n - left + 1):
+            m = union | order[i]
+            size = m.bit_count()
+            if size >= best:
+                continue
+            if left > 1:
+                if extend(i + 1, left - 1, m, picked | 1 << i):
+                    return True
+            else:
+                best, best_mask = size, picked | 1 << i
+                if size <= enough:
+                    return True
+        return False
+
+    extend(0, s, 0, 0)
+    return best, best_mask
+
+
 def min_closed_neighborhood(g: Graph, s: int) -> tuple[int, frozenset[int]]:
     """Minimum |N[S]| over all s-subsets, with the first lexicographic argmin."""
     if not 1 <= s <= g.n:
         raise ValueError(f"s={s} outside 1..{g.n}")
-    closed = [g.adj_mask(v) | (1 << v) for v in range(g.n)]
-    best = g.n + 1
-    best_set: tuple[int, ...] = ()
-    for subset in combinations(range(g.n), s):
-        m = 0
-        for v in subset:
-            m |= closed[v]
-        size = m.bit_count()
-        if size < best:
-            best = size
-            best_set = subset
-    return best, frozenset(best_set)
+    size, s_mask = _min_union(_closed_masks(g), s, -1)
+    return size, frozenset(iter_bits(s_mask))
+
+
+def _witness(n: int, s_mask: int, closed: int, t: int) -> HoleWitness:
+    """S = ``s_mask`` with closed neighbourhood ``closed``; T = the first t
+    vertices outside it, the lowest t bits of the complement."""
+    free = ~closed & ((1 << n) - 1)
+    tm = 0
+    for _ in range(t):
+        low = free & -free
+        tm |= low
+        free ^= low
+    return HoleWitness._from_masks(s_mask, tm)
+
+
+def find_hole(g: Graph, s: int, t: int) -> HoleWitness | None:
+    """A validated (s,t)-hole witness, or None.
+
+    Searches the smaller side (existence is symmetric in S and T): S is the
+    lexicographically first s-set with |N[S]| <= n - t, T the first t
+    vertices outside N[S].
+    """
+    if s < 1 or t < 1:
+        raise ValueError("hole sides must have size at least 1")
+    if s > t:
+        w = find_hole(g, t, s)
+        return None if w is None else w.swapped()
+    n = g.n
+    if s + t > n:
+        return None
+    size, s_mask = _min_union(_closed_masks(g), s, n - t)
+    if size > n - t:
+        return None
+    return _witness(n, s_mask, g.closed_neighborhood_mask(s_mask), t)
+
+
+def validate_certificate(g: Graph, cert: HoleCertificate) -> bool:
+    """Independent check of a certificate: each level witness is validated
+    as a hole, and the hole-free pair by the pruned search, not the
+    certificate's cursor (no (s,t)-hole iff every s-set S has
+    |N[S]| > n - t)."""
+    k = cert.value
+    s, t = cert.hole_free_pair
+    if k < 1 or s < 1 or t < 1 or s + t != k + 1:
+        return False
+    if len(cert.level_witnesses) != max(k - 1, 0):
+        return False
+    for i, w in enumerate(cert.level_witnesses):
+        if w.sizes != (i + 1, k - i - 1) or not w.is_valid(g):
+            return False
+    return _min_union(_closed_masks(g), s, g.n - t)[0] > g.n - t
 
 
 def _fitting_sets(closed: list[int], s: int):
     """A lexicographic cursor over the s-subsets: primed with ``next``, each
-    ``send(limit)`` answers the first s-set S with |N[S]| <= limit and its
-    closed mask, or None once no set is left.  Successive limits must not
-    rise, so the first fitting set only moves forward and each send resumes
-    where the last one stopped; nothing may be sent after a None.
-
-    The scan walks the (s-1)-prefixes and ORs each prefix's closed masks
-    once; extending the prefix by a later vertex j then costs one OR per
-    s-set, and (prefix, j) runs through the s-sets in exactly
-    ``combinations`` order.  A set is answered again for as long as it
-    still fits, and each size is taken once."""
+    ``send(limit)`` answers the mask of the first s-set S with
+    |N[S]| <= limit and its closed mask, or None once no set is left.
+    Limits must not rise, so each send resumes where the last one stopped
+    and a set is answered again while it still fits; nothing may be sent
+    after a None.  The scan ORs each (s-1)-prefix's closed masks once and
+    extends it by every later vertex j: (prefix, j) is ``combinations``
+    order, and each s-set costs one OR."""
     n = len(closed)
     limit = yield
     for prefix in combinations(range(n - 1), s - 1):
@@ -198,44 +264,8 @@ def _fitting_sets(closed: list[int], s: int):
             m = union | closed[j]
             size = m.bit_count()
             while size <= limit:
-                limit = yield prefix + (j,), m
+                limit = yield mask_of(prefix) | 1 << j, m
     yield None
-
-
-def _witness(n: int, subset: tuple[int, ...], mask: int, t: int) -> HoleWitness:
-    """S = ``subset`` with closed neighbourhood ``mask``; T = the first t
-    vertices outside it, the lowest t bits of the complement."""
-    free = ~mask & ((1 << n) - 1)
-    tm = 0
-    for _ in range(t):
-        low = free & -free
-        tm |= low
-        free ^= low
-    return HoleWitness._from_masks(mask_of(subset), tm)
-
-
-def _closed_masks(g: Graph) -> list[int]:
-    return [g.adj_mask(v) | (1 << v) for v in range(g.n)]
-
-
-def find_hole(g: Graph, s: int, t: int) -> HoleWitness | None:
-    """A validated (s,t)-hole witness, or None.
-
-    Enumerates the smaller side (existence is symmetric in S and T); T is
-    the lexicographically first t-subset outside N[S].
-    """
-    if s < 1 or t < 1:
-        raise ValueError("hole sides must have size at least 1")
-    if s > t:
-        w = find_hole(g, t, s)
-        return None if w is None else w.swapped()
-    n = g.n
-    if s + t > n:
-        return None
-    cursor = _fitting_sets(_closed_masks(g), s)
-    next(cursor)
-    hole = cursor.send(n - t)
-    return None if hole is None else _witness(n, *hole, t)
 
 
 def bipartite_hole_number(g: Graph) -> HoleCertificate:
@@ -252,7 +282,7 @@ def bipartite_hole_number(g: Graph) -> HoleCertificate:
         raise ValueError("graph must have at least one vertex")
     closed = _closed_masks(g)
     cursors = []
-    below: list[tuple[tuple[int, ...], int]] = []  # level k's holes, by s
+    below: list[tuple[int, int]] = []  # level k's holes (S, N[S]), by s
     k = 0
     while True:
         k += 1
@@ -277,22 +307,6 @@ def bipartite_hole_number(g: Graph) -> HoleCertificate:
             return HoleCertificate(k, (s, t), witnesses)
         # every split of k+1 has a hole; ascend
         below = holes
-
-
-def validate_certificate(g: Graph, cert: HoleCertificate) -> bool:
-    """Independent check of a certificate: each level witness is validated
-    as a hole, and the hole-free pair by one enumeration of the s-sets
-    (no (s,t)-hole iff every s-set S has |N[S]| > n - t)."""
-    k = cert.value
-    s, t = cert.hole_free_pair
-    if k < 1 or s < 1 or t < 1 or s + t != k + 1:
-        return False
-    if len(cert.level_witnesses) != max(k - 1, 0):
-        return False
-    for i, w in enumerate(cert.level_witnesses):
-        if w.sizes != (i + 1, k - i - 1) or not w.is_valid(g):
-            return False
-    return s > g.n or min_closed_neighborhood(g, s)[0] > g.n - t
 
 
 @lru_cache(maxsize=128)
@@ -348,32 +362,6 @@ def naive_hole_number(g: Graph) -> int:
                 return k
 
 
-def _min_union(order: list[int], s: int, enough: int) -> int:
-    """The least popcount of an OR of s masks of ``order``, or the first one
-    found that is at most ``enough``."""
-    n = len(order)
-    best = n + 1
-
-    def extend(start: int, left: int, union: int) -> bool:
-        nonlocal best
-        for i in range(start, n - left + 1):
-            m = union | order[i]
-            size = m.bit_count()
-            if size >= best:
-                continue
-            if left > 1:
-                if extend(i + 1, left - 1, m):
-                    return True
-            else:
-                best = size
-                if size <= enough:
-                    return True
-        return False
-
-    extend(0, s, 0)
-    return best
-
-
 def _profile_kernel(closed: list[int]) -> tuple[int, int]:
     """The least s + n - f(s), f(s) the least |N[S]| over the s-sets, and
     the smallest s that attains it; only the s with 2s <= best are scanned
@@ -386,7 +374,7 @@ def _profile_kernel(closed: list[int]) -> tuple[int, int]:
     best_s = 1  # every term is at most n, so s = 1 attains n if none is less
     s = 1
     while 2 * s <= best:
-        term = s + n - _min_union(order, s, s + n - best)
+        term = s + n - _min_union(order, s, s + n - best)[0]
         if term < best:
             best, best_s = term, s
         s += 1

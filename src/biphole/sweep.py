@@ -5,10 +5,11 @@ Each property takes a graph and its ``GraphFacts`` and returns None when it
 does not apply, or a list of failure records (empty meaning pass).  The
 facts are computed at most once per graph and shared by every property, so
 a sweep builds each graph's certificate, heavy cycle, heavy path per pair
-and Hamiltonicity oracle once; ``alpha-oracle`` checks that shared
-certificate, and the value of the profile kernel behind ``hole_number``,
-against the naive search, and the kernel's hole-free split against the
-certificate's.  One runner serves every job count: it cuts the source into chunks
+and Hamiltonicity oracle once; ``alpha-oracle`` validates that shared
+certificate, checks it and the value of the profile kernel behind
+``hole_number`` against the naive search, and the kernel's hole-free split
+against the certificate's.  Above the naive oracle's n <= 14 it skips only
+the two naive comparisons.  One runner serves every job count: it cuts the source into chunks
 of graph6 lines or edge-mask ranges and sweeps each with the same batch
 function, in this process for one job and on worker processes for more.
 It aggregates a deterministic summary; every failure carries the offending
@@ -19,11 +20,12 @@ and the written graph6 of an enumerated graph.
 The acceptance suite (``tests/test_acceptance.py``) checks the paper's
 claims through these properties and pins each one's checked count: every
 labeled graph with n <= 6 through all eight, every one with n = 7 through
-fan-ham and dirac-chain, 1,000 seeded G(n, p) through alpha-oracle and 500
-seeded 2-connected ones through heavy-cycle and the two min-degree
-properties (that module's docstring lists the counts).  ``biphole sweep
---enumerate 6`` reproduces the n = 6 part.  The module takes about three
-minutes on two cores, most of it the n = 7 sweep.
+fan-ham and dirac-chain, 1,060 seeded G(n, p) through alpha-oracle (60 of
+them past the naive oracle's reach) and 500 seeded 2-connected ones
+through heavy-cycle and the two min-degree properties (that module's
+docstring lists the counts).  ``biphole sweep --enumerate 6`` reproduces
+the n = 6 part.  The module takes about two minutes on two cores, most of
+it the n = 7 sweep and the graph6 fuzz.
 """
 from __future__ import annotations
 
@@ -98,17 +100,17 @@ def _prop_alpha_oracle(g: Graph, facts: GraphFacts):
     try:
         naive = naive_hole_number(g)
     except SizeGuardError:
-        return None
+        naive = None  # past the naive oracle's reach: skip only its comparisons
     cert = facts.cert
     failures = []
-    if cert.value != naive:
+    if naive is not None and cert.value != naive:
         failures.append(
             {"detail": f"value {cert.value} disagrees with naive {naive}"}
         )
     if not validate_certificate(g, cert):
         failures.append({"detail": "certificate failed validation"})
     value, s = _profile_kernel(_closed_masks(g))
-    if value != naive:
+    if naive is not None and value != naive:
         failures.append(
             {"detail": f"hole_number {value} disagrees with naive {naive}"}
         )
@@ -192,11 +194,13 @@ def _prop_min_degree_hc(g: Graph, facts: GraphFacts):
 def _prop_fan_ham(g: Graph, facts: GraphFacts):
     if not facts.two_connected:
         return None
+    if facts.hamiltonian:
+        return []  # a failure needs a condition that holds on a non-Hamiltonian graph
     at = facts.cert.value
     failures = []
-    if check_fan_type(g, at).holds and not facts.hamiltonian:
+    if check_fan_type(g, at).holds:
         failures.append({"detail": "fan-type condition holds but graph is not hamiltonian"})
-    if check_liu_yuan_zhang(g, at).holds and not facts.hamiltonian:
+    if check_liu_yuan_zhang(g, at).holds:
         failures.append({"detail": "distance-two degree condition holds but graph is not hamiltonian"})
     return failures
 

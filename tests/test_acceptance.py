@@ -12,14 +12,15 @@ the graph6 line that replays it.  One session fixture per corpus:
   6,335, dirac-chain 1,896, min-degree-ham 1,895, min-degree-hc 104;
 * every labeled graph with n = 7, fan-ham 1,014,888 and dirac-chain 15,796,
   on two worker processes;
-* 1,000 seeded G(n, p) for alpha-oracle (seeds 770,000 + i);
+* 1,000 seeded G(n, p) for alpha-oracle (seeds 770,000 + i), and 60 more
+  with n = 15..20, past the naive oracle (seeds 880,000 + i);
 * 500 seeded 2-connected G(n, p) with 4 <= n <= 12 (seeds 550,000 + i):
   heavy-cycle 500, min-degree-ham 255, min-degree-hc 143.
 
 ``biphole sweep --enumerate 6`` reproduces the n = 6 part.  The sharpness
 witnesses and the graph6 fuzz test are checked directly.  The module takes
-about three minutes on two cores: the n = 7 sweep 100-120 s, the
-time-boxed fuzz 60 s, the n <= 6 sweep about 8 s.
+about two minutes on two cores: the n = 7 sweep about 55 s, the
+time-boxed fuzz 60 s, the n <= 6 sweep about 7 s.
 """
 from __future__ import annotations
 
@@ -108,6 +109,18 @@ def test_alpha_oracle_equivalence(sweep_n6, sweep_alpha_corpus):
     enumeration; certificates validate."""
     _assert_pinned(sweep_n6, "alpha-oracle", 33_867)
     _assert_pinned(sweep_alpha_corpus, "alpha-oracle", 1_000)
+
+
+def test_alpha_oracle_above_the_naive_reach():
+    """Past the naive oracle's n <= 14, alpha-oracle still validates every
+    certificate and checks the kernel's hole-free split against it."""
+    lines = [
+        write_graph6(
+            erdos_renyi(15 + i % 6, *((1, 8), (1, 4), (1, 2), (3, 4))[i % 4], seed=880_000 + i)
+        )
+        for i in range(60)
+    ]
+    _assert_pinned(run_graph6_lines(lines, ["alpha-oracle"]), "alpha-oracle", 60)
 
 
 def test_heavy_cycle_soundness(sweep_n6, sweep_two_connected):

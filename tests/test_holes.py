@@ -48,6 +48,39 @@ def test_min_closed_neighborhood():
         min_closed_neighborhood(empty(5), 0)
 
 
+def test_fixed_limit_answers_on_every_graph_to_n6():
+    # Every labeled graph with n <= 6 and every s, t: find_hole and
+    # min_closed_neighborhood answer as the plain lexicographic scans of
+    # the references would.  The scans share one table of |N[S]| per graph.
+    answers = 0
+    for n in range(1, 7):
+        for g in enumerate_labeled(n):
+            closed = {}  # s -> [(S, N[S]'s mask)], in lexicographic order
+            for s in range(1, n + 1):
+                closed[s] = [
+                    (subset, g.closed_neighborhood_mask(mask_of(subset)))
+                    for subset in combinations(range(n), s)
+                ]
+                least = min(m.bit_count() for _, m in closed[s])
+                argmin = next(sub for sub, m in closed[s] if m.bit_count() == least)
+                assert min_closed_neighborhood(g, s) == (least, frozenset(argmin))
+            for s in range(1, n + 1):
+                for t in range(1, n + 1):
+                    small, large = min(s, t), max(s, t)
+                    expected = None
+                    for subset, m in closed[small] if s + t <= n else ():
+                        if m.bit_count() <= n - large:
+                            free = [v for v in range(n) if not m >> v & 1]
+                            expected = HoleWitness(subset, free[:large])
+                            break
+                    if expected is not None and s > t:
+                        expected = expected.swapped()
+                    assert find_hole(g, s, t) == expected
+                    answers += 1
+            answers += n
+    assert answers == 1_408_366
+
+
 def test_find_hole_examples():
     w = find_hole(cycle(5), 1, 2)
     assert w == HoleWitness(frozenset({0}), frozenset({2, 3}))
@@ -125,9 +158,13 @@ def test_validate_certificate_is_fast_at_n20():
 def test_validate_certificate_rejects_holed_pair():
     g = petersen()
     cert = bipartite_hole_number(g)
-    bogus = dataclasses.replace(cert, hole_free_pair=(1, 5))
-    assert find_hole(g, 1, 5) is not None
-    assert not validate_certificate(g, bogus)
+    # (2, 4) is a tight hole: an edge's two closed neighbourhoods cover
+    # exactly n - t = 6 vertices.
+    assert min_closed_neighborhood(g, 2) == (6, frozenset({0, 1}))
+    for pair in [(1, 5), (2, 4)]:
+        bogus = dataclasses.replace(cert, hole_free_pair=pair)
+        assert find_hole(g, *pair) is not None
+        assert not validate_certificate(g, bogus)
 
 
 def test_validate_certificate_rejects_malformed_certificates():
@@ -217,7 +254,10 @@ def test_hole_witness_matches_set_based_reference(g, sides):
         assert w.swapped().is_valid(g) == ref.swapped().is_valid(g)
         with pytest.raises(AttributeError):
             w.s_mask = 0
-        assert pickle.loads(pickle.dumps(w)) == w == copy.deepcopy(w)
+        assert pickle.loads(pickle.dumps(w)) == w == copy.deepcopy(w) == copy.copy(w)
+        # A witness is the tuple of its two masks, and equals a plain one.
+        assert w == (mask_of(s_side), mask_of(t_side)) == tuple(w) == (w.s_mask, w.t_mask)
+        assert len(w) == 2 and type(pickle.loads(pickle.dumps(w))) is HoleWitness
         built.append((w, ref))
     for w, ref in built:
         for w2, ref2 in built:
@@ -277,8 +317,10 @@ def test_symmetry(g):
 @settings(max_examples=100, deadline=None)
 def test_characterization_by_min_closed_neighborhood(g):
     for s in range(1, g.n):
+        least = _reference_min_closed_neighborhood(g, s)
+        assert min_closed_neighborhood(g, s) == least
         for t in range(1, g.n - s + 1):
-            expected = min_closed_neighborhood(g, s)[0] <= g.n - t
+            expected = least[0] <= g.n - t
             assert (find_hole(g, s, t) is not None) == expected
 
 
@@ -309,6 +351,17 @@ def test_range_and_independence_bound(g):
 def test_random_agreement_with_naive():
     for g in seeded_graphs(60, 9, seed=5):
         assert hole_number(g) == naive_hole_number(g)
+
+
+def _reference_min_closed_neighborhood(g, s):
+    """The unpruned scan: every s-set in lexicographic order, and the first
+    one of least |N[S]|."""
+    best = None
+    for subset in combinations(range(g.n), s):
+        size = g.closed_neighborhood_mask(mask_of(subset)).bit_count()
+        if best is None or size < best[0]:
+            best = size, frozenset(subset)
+    return best
 
 
 def _reference_find_hole(g, s, t):
@@ -403,10 +456,12 @@ def _cursor_runs(draw):
 
 
 def _first_fit(g, s, limit):
+    """The mask of the first s-set S with |N[S]| <= limit and N[S]'s mask."""
     for subset in combinations(range(g.n), s):
-        closed = g.closed_neighborhood_mask(mask_of(subset))
+        s_mask = mask_of(subset)
+        closed = g.closed_neighborhood_mask(s_mask)
         if closed.bit_count() <= limit:
-            return subset, closed
+            return s_mask, closed
     return None
 
 
@@ -427,6 +482,27 @@ def test_cursor_returns_the_first_fitting_set(run):
         assert cursor.send(limit) == expected
         if expected is None:
             break
+
+
+@given(_cursor_runs())
+@settings(max_examples=300, deadline=None)
+@example((complete(1), 1, [1, 0]))  # s = 1 = n
+@example((cycle(5), 5, [5, 4]))  # s = n, then no set fits
+@example((path(5), 2, [-1]))  # the argmin
+def test_pruned_search_returns_the_first_fitting_set(run):
+    # Over the closed masks in vertex order, the pruned search records the
+    # lexicographically first set that fits, or with nothing fitting the
+    # first lexicographic argmin, as its docstring argues.
+    g, s, limits = run
+    closed = holes_mod._closed_masks(g)
+    for limit in limits:
+        size, s_mask = holes_mod._min_union(closed, s, limit)
+        fit = _first_fit(g, s, limit)
+        if fit is not None:
+            assert (size, s_mask) == (fit[1].bit_count(), fit[0])
+        else:
+            least, argmin = _reference_min_closed_neighborhood(g, s)
+            assert size > limit and (size, s_mask) == (least, mask_of(argmin))
 
 
 def _reference_naive_hole(g, s, t):
@@ -486,18 +562,45 @@ def test_naive_oracle_shares_nothing_with_the_search(monkeypatch):
                 assert w is None or (w.is_valid(g) and w.sizes == (s, t))
 
 
-def test_certificate_shares_nothing_with_the_kernel(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the certificate reached the profile kernel")
+# Graphs with their pinned hole-number and the certificate's hole-free pair.
+_CERTIFIED = [
+    (petersen(), 5, (3, 3)),
+    (cycle(5), 3, (1, 3)),
+    (empty(6), 6, (1, 6)),
+    (erdos_renyi(20, 1, 4, 1), 15, (8, 8)),
+]
 
-    for name in ("_min_union", "_profile_kernel", "hole_number"):
+
+def _forbid(monkeypatch, names, what):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(what)
+
+    for name in names:
         monkeypatch.setattr(holes_mod, name, forbidden)
-    for g, value in [(petersen(), 5), (cycle(5), 3), (empty(6), 6), (erdos_renyi(20, 1, 4, 1), 15)]:
+
+
+def test_certificate_shares_nothing_with_the_kernel(monkeypatch):
+    # The certificate's ascent alone, with the pruned search and everything
+    # that reads it replaced by functions that raise.
+    _forbid(monkeypatch, ("_min_union", "_profile_kernel", "hole_number"),
+            "the certificate reached the pruned search")
+    for g, value, pair in _CERTIFIED:
         cert = bipartite_hole_number(g)
-        assert cert.value == value and validate_certificate(g, cert)
-        assert find_hole(g, *cert.hole_free_pair) is None
+        assert (cert.value, cert.hole_free_pair) == (value, pair)
         if g.n <= 10:
             assert naive_hole_number(g) == value
+
+
+def test_validation_shares_nothing_with_the_cursor(monkeypatch):
+    # The other direction: the pruned search accepts the cursor's
+    # certificates, and finds no hole at their pairs, without the cursor.
+    certs = [(g, bipartite_hole_number(g)) for g, _, _ in _CERTIFIED]
+    _forbid(monkeypatch, ("_fitting_sets",), "the validation reached the cursor")
+    for g, cert in certs:
+        s, t = cert.hole_free_pair
+        assert validate_certificate(g, cert)
+        assert find_hole(g, s, t) is None and find_hole(g, t, s) is None
+        assert min_closed_neighborhood(g, s)[0] > g.n - t
 
 
 def _milp_hole_number(g):

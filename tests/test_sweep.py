@@ -317,6 +317,7 @@ def _writer_dropping_an_edge(monkeypatch):
 
 
 K4_PAIRS = list(combinations(range(4), 2))
+K15 = "N" + "~" * 17 + "w"
 
 # property[:corrupted answer] -> (graph6, corruption, graph6 of the failure
 # record, details in the sweep's sorted order).  The replay line is the input
@@ -343,6 +344,14 @@ CORRUPTED = {
         _kernel_split_one_later,
         "Cl",
         ["kernel split (2, 1) differs from the certificate's (1, 2)"],
+    ),
+    # K15, past the naive oracle: only the naive comparisons are skipped.
+    "alpha-oracle:above-naive": (K15, _value_off_by_one, K15, ["certificate failed validation"]),
+    "alpha-oracle:kernel-above-naive": (
+        K15,
+        _kernel_value_off_by_one,
+        K15,
+        ["kernel split (1, 2) differs from the certificate's (1, 1)"],
     ),
     "heavy-cycle": ("C~", _cycle_missing_a_vertex, "C~", ["cycle failed verification"]),
     "heavy-path": (
@@ -379,7 +388,7 @@ CORRUPTED = {
 
 @pytest.mark.parametrize("case", list(CORRUPTED))
 def test_each_property_reports_a_corrupted_answer(monkeypatch, case):
-    # K4 ("C~") and C4 ("Cl", hole-number 2 = ceil(4/2)), each with one
+    # K4 ("C~"), C4 ("Cl", hole-number 2 = ceil(4/2)) and K15, each with one
     # answer the property checks corrupted: a property that compared an
     # answer with itself would report nothing here.
     prop = case.split(":")[0]
