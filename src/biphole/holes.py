@@ -161,7 +161,9 @@ def _min_union(order: list[int], s: int, enough: int) -> tuple[int, int]:
     set recorded before F, and so ``best``, is larger than ``enough`` while
     every prefix of F has a union no larger, so F is reached and recorded.
     With ``enough`` = -1 the same holds for the first lexicographic argmin,
-    and no later set is recorded, as none is smaller.
+    and no later set is recorded, as none is smaller.  The search recurses
+    once per chosen mask, s deep; a graph has at most MAX_VERTICES = 512
+    vertices, within the interpreter's default recursion limit of 1000.
     """
     n = len(order)
     best = n + 1
@@ -188,7 +190,8 @@ def _min_union(order: list[int], s: int, enough: int) -> tuple[int, int]:
 
 
 def min_closed_neighborhood(g: Graph, s: int) -> tuple[int, frozenset[int]]:
-    """Minimum |N[S]| over all s-subsets, with the first lexicographic argmin."""
+    """Minimum |N[S]| over all s-subsets, with the first lexicographic argmin.
+    The search recurses s deep (see ``_min_union``)."""
     if not 1 <= s <= g.n:
         raise ValueError(f"s={s} outside 1..{g.n}")
     size, s_mask = _min_union(_closed_masks(g), s, -1)
@@ -212,7 +215,8 @@ def find_hole(g: Graph, s: int, t: int) -> HoleWitness | None:
 
     Searches the smaller side (existence is symmetric in S and T): S is the
     lexicographically first s-set with |N[S]| <= n - t, T the first t
-    vertices outside N[S].
+    vertices outside N[S].  The search recurses min(s, t) deep (see
+    ``_min_union``).
     """
     if s < 1 or t < 1:
         raise ValueError("hole sides must have size at least 1")

@@ -47,7 +47,7 @@ from .holes import (
     naive_hole_number,
     validate_certificate,
 )
-from .oracle import brute_hamiltonian, brute_hamiltonian_connected
+from .oracle import DEFAULT_LIMIT, brute_hamiltonian, brute_hamiltonian_connected
 from .paths import _heavy_path, verify_heavy_path
 from .walks import Cycle, OrientedPath
 
@@ -194,13 +194,14 @@ def _prop_min_degree_hc(g: Graph, facts: GraphFacts):
 def _prop_fan_ham(g: Graph, facts: GraphFacts):
     if not facts.two_connected:
         return None
-    if facts.hamiltonian:
+    # Above the oracle's guard, Hamiltonicity is read only where a condition holds.
+    if g.n <= DEFAULT_LIMIT and facts.hamiltonian:
         return []  # a failure needs a condition that holds on a non-Hamiltonian graph
     at = facts.cert.value
     failures = []
-    if check_fan_type(g, at).holds:
+    if check_fan_type(g, at).holds and not facts.hamiltonian:
         failures.append({"detail": "fan-type condition holds but graph is not hamiltonian"})
-    if check_liu_yuan_zhang(g, at).holds:
+    if check_liu_yuan_zhang(g, at).holds and not facts.hamiltonian:
         failures.append({"detail": "distance-two degree condition holds but graph is not hamiltonian"})
     return failures
 

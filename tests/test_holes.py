@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import biphole.holes as holes_mod
 import biphole.oracle as oracle_mod
 from biphole import (
+    MAX_VERTICES,
     Graph,
     HoleCertificate,
     HoleWitness,
@@ -46,6 +47,21 @@ def test_min_closed_neighborhood():
     assert min_closed_neighborhood(empty(5), 2) == (2, frozenset({0, 1}))
     with pytest.raises(ValueError):
         min_closed_neighborhood(empty(5), 0)
+
+
+def test_fixed_limit_answers_with_s_near_n_at_the_order_cap():
+    # The pruned search recurses once per chosen vertex; at the order cap
+    # of 512 vertices the deepest searches, s = n and s = n - 1, still
+    # answer within the default recursion limit.
+    n = MAX_VERTICES
+    assert min_closed_neighborhood(empty(n), n) == (n, frozenset(range(n)))
+    # On a path every (n - 1)-set covers all n vertices; the first is the
+    # lowest n - 1.
+    assert min_closed_neighborhood(path(n), n - 1) == (n, frozenset(range(n - 1)))
+    assert find_hole(empty(n), n // 2, n // 2) == HoleWitness(
+        range(n // 2), range(n // 2, n)
+    )
+    assert find_hole(complete(n), n // 2, n // 2) is None
 
 
 def test_fixed_limit_answers_on_every_graph_to_n6():

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 import biphole.sweep as sweep_mod
-from biphole import Graph, ParseError, UnknownNameError, complete, write_graph6
+from biphole import Graph, ParseError, UnknownNameError, complete, cycle, write_graph6
 from biphole.sweep import (
     SweepResult,
     check_graph,
@@ -217,6 +217,18 @@ def test_one_certificate_per_graph(monkeypatch):
     assert result.checked["min-degree-ham"] and result.checked["min-degree-hc"]
     for name, seen in keys.items():
         assert seen and len(seen) == len(set(seen)), name
+
+
+def test_fan_ham_above_the_oracle_guard_needs_no_oracle():
+    # Above the Hamiltonicity oracle's n <= 14, fan-ham reads the oracle
+    # only where a condition holds; on these 2-connected graphs (the cycles
+    # C15..C20 and the 2-connected ones of a seeded G(17, 1/4) sample)
+    # neither holds, so each is checked and none reaches the guard.
+    lines = [write_graph6(cycle(n)) for n in range(15, 21)]
+    lines += random_corpus(20, 17, 1, 4, 0)
+    result = run_graph6_lines(lines, ["fan-ham"])
+    assert result.checked == {"fan-ham": 16}
+    assert result.failures == []
 
 
 def test_roundtrip_only_sweep_analyses_nothing(monkeypatch):
