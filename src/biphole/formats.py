@@ -4,9 +4,9 @@ graph6 is the interchange format for exhaustive small-graph corpora, so the
 codec here is strict: exact length, printable byte range 63..126, zero
 padding bits, and write(parse(s)) == s.  The parser reads the body as one
 integer and takes each column of the upper triangle as a vertex mask, the
-graph's own adjacency form, rather than one bit at a time.  The edge-list
-format is a loose "n m" header followed by m "u v" lines.  DOT output is
-one-way.
+graph's own adjacency form, rather than one bit at a time; the writer
+builds the same integer from the masks.  The edge-list format is a loose
+"n m" header followed by m "u v" lines.  DOT output is one-way.
 """
 from __future__ import annotations
 
@@ -18,23 +18,19 @@ from .graph import MAX_VERTICES, Graph
 _HEADER = ">>graph6<<"
 
 
-def _pair_bits(n: int) -> list[tuple[int, int]]:
-    # Upper triangle in column-major order: (0,1), (0,2), (1,2), (0,3), ...
-    return [(i, j) for j in range(1, n) for i in range(j)]
-
-
-# Each graph6 character to its six data bits, most significant first.
+# Each graph6 character to its six data bits, most significant first, and back.
 _SIX_BITS = {code: format(code - 63, "06b") for code in range(63, 127)}
+_CHAR_OF = {bits: chr(code) for code, bits in _SIX_BITS.items()}
 
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line (optional >>graph6<< header allowed).
 
-    The body is read as one integer whose bit k is the k-th pair of
-    ``_pair_bits``.  In that column-major order the pairs (i, j), i < j,
-    of one column j are j consecutive bits, in order of i, so each column
-    is the mask of j's neighbours below j; its set bits are walked once to
-    add j to those neighbours' masks."""
+    The body is read as one integer whose bit k is the k-th pair (i, j),
+    i < j, of the upper triangle in column-major order: (0,1), (0,2),
+    (1,2), (0,3), ...  The pairs of one column j are then j consecutive
+    bits, in order of i, so each column is the mask of j's neighbours below
+    j; its set bits are walked once to add j to those neighbours' masks."""
     line = text.rstrip("\r\n")
     if line.startswith(_HEADER):
         line = line[len(_HEADER) :]
@@ -88,25 +84,22 @@ def parse_graph6(text: str) -> Graph:
 
 
 def write_graph6(g: Graph) -> str:
-    """Canonical graph6 encoding; parse_graph6 round-trips it exactly."""
+    """Canonical graph6 encoding; parse_graph6 round-trips it exactly.
+
+    The inverse of the parser's column form: column j of one integer is
+    j's neighbour mask below j, and the integer is cut into six-bit groups."""
     n = g.n
     if n <= 62:
         head = chr(n + 63)
     else:  # n <= MAX_VERTICES, well inside the 18-bit class (n <= 258047)
         head = "~" + chr((n >> 12) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
-    out = [head]
-    group = 0
-    filled = 0
-    for i, j in _pair_bits(n):
-        group = (group << 1) | (g.adj_mask(i) >> j & 1)
-        filled += 1
-        if filled == 6:
-            out.append(chr(group + 63))
-            group = 0
-            filled = 0
-    if filled:
-        out.append(chr((group << (6 - filled)) + 63))
-    return "".join(out)
+    bits = 0
+    for j in range(n - 1, 0, -1):
+        bits = bits << j | g.adj_mask(j) & ((1 << j) - 1)
+    width = (n * (n - 1) // 2 + 5) // 6 * 6
+    # Reversed, the bit string has pair 0 first and the padding last.
+    text = format(bits, f"0{width}b")[::-1]
+    return head + "".join(_CHAR_OF[text[k : k + 6]] for k in range(0, width, 6))
 
 
 def parse_edge_list(text: str, one_based: bool = False) -> Graph:

@@ -3,8 +3,9 @@
 Adjacency is stored as one Python int bitmask per vertex, so neighborhood
 unions, intersections and cardinalities are word-level operations.  That is
 what makes the exact subset enumeration in the hole-number search affordable.
-The order is capped at MAX_VERTICES; everything here targets desk-scale
-exhaustive work, not large sparse graphs.
+The disjoint-paths flow keeps its state in such masks too.  The order is
+capped at MAX_VERTICES; everything here targets desk-scale exhaustive work,
+not large sparse graphs.
 """
 from __future__ import annotations
 
@@ -264,10 +265,12 @@ class Graph:
     def two_disjoint_paths(self, x: int, y: int) -> tuple[list[int], list[int]]:
         """Two (x, y)-paths sharing only their endpoints.
 
-        Unit-vertex-capacity max flow on the split digraph; augmenting
-        choices are lexicographic, so the result is deterministic.  Their
-        union is a cycle through x and y.
+        Unit-vertex-capacity max flow on the split digraph, held in masks;
+        augmenting choices are lexicographic, so the result is
+        deterministic.  Their union is a cycle through x and y.
         """
+        if not (0 <= x < self.n and 0 <= y < self.n):
+            raise GraphError("vertex outside graph")
         if x == y:
             raise GraphError("endpoints must differ")
         if not self.is_two_connected():
@@ -278,65 +281,54 @@ class Graph:
 
     def _two_disjoint_paths(self, x: int, y: int) -> tuple[list[int], list[int]]:
         """The body of ``two_disjoint_paths``, for distinct x, y in a graph
-        already known to be 2-connected."""
-        # Node split: in(v) = 2v, out(v) = 2v + 1.
-        cap: dict[tuple[int, int], int] = {}
-        nbrs: dict[int, list[int]] = {}
-
-        def arc(a, b, c):
-            cap[(a, b)] = c
-            nbrs.setdefault(a, []).append(b)
-            nbrs.setdefault(b, []).append(a)
-
-        for v in range(self.n):
-            arc(2 * v, 2 * v + 1, 2 if v in (x, y) else 1)
-        for u in range(self.n):
-            for w in iter_bits(self._adj[u]):
-                arc(2 * u + 1, 2 * w, 1)
-        for lst in nbrs.values():
-            lst.sort()
+        already known to be 2-connected.  Nodes in(v) = 2v, out(v) = 2v + 1;
+        bit w of ``flow[v]`` holds the flow on out(v) -> in(w), and
+        ``through[v]`` the flow on in(v) -> out(v)."""
+        adj = self._adj
+        flow = [0] * self.n
+        through = [0] * self.n
         source, sink = 2 * x + 1, 2 * y
-        flow: dict[tuple[int, int], int] = {}
-
-        def residual(a, b):
-            return cap.get((a, b), 0) - flow.get((a, b), 0)
-
-        pushed = 0
         for _ in range(2):
-            parent = {source: -1}
+            parent = {source: source}
             queue = deque([source])
             while queue and sink not in parent:
                 a = queue.popleft()
-                for b in nbrs.get(a, ()):
-                    if b not in parent and residual(a, b) > 0:
+                v = a >> 1
+                if a & 1:  # to in(w): an edge without flow, or back along v's own arc
+                    ends = adj[v] & ~flow[v] | (through[v] > 0) << v
+                else:  # to out(u): v's own arc below capacity, or back along u -> v
+                    ends = mask_of(u for u in iter_bits(adj[v]) if flow[u] >> v & 1)
+                    ends |= (through[v] < (2 if v == x or v == y else 1)) << v
+                for w in iter_bits(ends):
+                    b = 2 * w + 1 - (a & 1)
+                    if b not in parent:
                         parent[b] = a
                         queue.append(b)
             if sink not in parent:
-                break
+                raise InternalInconsistencyError(
+                    "2-connected graph without two disjoint paths"
+                )
             b = sink
             while b != source:
                 a = parent[b]
-                flow[(a, b)] = flow.get((a, b), 0) + 1
-                flow[(b, a)] = flow.get((b, a), 0) - 1
+                v, w = a >> 1, b >> 1
+                if v == w:
+                    through[v] += 1 if b & 1 else -1
+                elif a & 1:  # along the edge arc v -> w
+                    flow[v] |= 1 << w
+                else:  # back along w -> v
+                    flow[w] ^= 1 << v
                 b = a
-            pushed += 1
-        if pushed < 2:
-            raise InternalInconsistencyError(
-                "2-connected graph without two disjoint paths"
-            )
 
-        def extract() -> list[int]:
-            path = [x]
-            node = source
-            while node != sink:
-                nxt = min(b for b in nbrs[node] if flow.get((node, b), 0) > 0)
-                flow[(node, nxt)] -= 1
-                node = nxt
-                if node % 2 == 0:  # an in(v) node
-                    path.append(node // 2)
-            return path
-
-        return extract(), extract()
+        paths = ([x], [x])
+        for path in paths:
+            v = x
+            while v != y:
+                low = flow[v] & -flow[v]
+                flow[v] ^= low
+                v = low.bit_length() - 1
+                path.append(v)
+        return paths
 
     # -- value semantics ---------------------------------------------------
 

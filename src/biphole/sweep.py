@@ -5,17 +5,18 @@ Each property takes a graph and its ``GraphFacts`` and returns None when it
 does not apply, or a list of failure records (empty meaning pass).  The
 facts are computed at most once per graph and shared by every property, so
 a sweep builds each graph's certificate, heavy cycle, heavy path per pair
-and Hamiltonicity oracle once; ``alpha-oracle`` validates that shared
+and brute oracle answer once; ``alpha-oracle`` validates that shared
 certificate, checks it and the value of the profile kernel behind
 ``hole_number`` against the naive search, and the kernel's hole-free split
-against the certificate's.  Above the naive oracle's n <= 14 it skips only
-the two naive comparisons.  One runner serves every job count: it cuts the source into chunks
-of graph6 lines or edge-mask ranges and sweeps each with the same batch
-function, in this process for one job and on worker processes for more.
-It aggregates a deterministic summary; every failure carries the offending
-graph6 line so it can be replayed: a graph6 source's own input line, so
-that a fault in the writer that ``g6-roundtrip`` checks cannot corrupt it,
-and the written graph6 of an enumerated graph.
+against the certificate's.  Above the brute oracles' n <= 14 every property
+skips only its oracle comparison.  One runner serves every job count: it
+cuts the source into chunks of graph6 lines or edge-mask ranges and sweeps
+each with the same batch function, in this process for one job and on
+worker processes for more.  It aggregates a deterministic summary; every
+failure carries the offending graph6 line so it can be replayed: a graph6
+source's own input line, so that a fault in the writer that
+``g6-roundtrip`` checks cannot corrupt it, and the written graph6 of an
+enumerated graph.
 
 The acceptance suite (``tests/test_acceptance.py``) checks the paper's
 claims through these properties and pins each one's checked count: every
@@ -47,7 +48,7 @@ from .holes import (
     naive_hole_number,
     validate_certificate,
 )
-from .oracle import DEFAULT_LIMIT, brute_hamiltonian, brute_hamiltonian_connected
+from .oracle import brute_hamiltonian, brute_hamiltonian_connected
 from .paths import _heavy_path, verify_heavy_path
 from .walks import Cycle, OrientedPath
 
@@ -69,9 +70,24 @@ class GraphFacts:
     def two_connected(self) -> bool:
         return self.graph.is_two_connected()
 
+    def _oracle(self, oracle):
+        """The brute oracle's answer, or None above its n <= 14 guard."""
+        try:
+            return oracle(self.graph)
+        except SizeGuardError:
+            return None
+
     @cached_property
-    def hamiltonian(self) -> bool:
-        return brute_hamiltonian(self.graph)
+    def hamiltonian(self) -> bool | None:
+        return self._oracle(brute_hamiltonian)
+
+    @cached_property
+    def hamiltonian_connected(self) -> bool | None:
+        return self._oracle(brute_hamiltonian_connected)
+
+    @cached_property
+    def naive_value(self) -> int | None:
+        return self._oracle(naive_hole_number)
 
     @cached_property
     def heavy_cycle(self) -> Cycle | BipholeError:
@@ -97,10 +113,7 @@ def _raised(exc: BipholeError) -> str:
 
 
 def _prop_alpha_oracle(g: Graph, facts: GraphFacts):
-    try:
-        naive = naive_hole_number(g)
-    except SizeGuardError:
-        naive = None  # past the naive oracle's reach: skip only its comparisons
+    naive = facts.naive_value
     cert = facts.cert
     failures = []
     if naive is not None and cert.value != naive:
@@ -168,7 +181,7 @@ def _prop_min_degree_ham(g: Graph, facts: GraphFacts):
         failures.append(
             {"detail": f"expected Hamilton cycle, got length {len(cyc)}"}
         )
-    if not facts.hamiltonian:
+    if facts.hamiltonian is False:
         failures.append({"detail": "oracle says non-hamiltonian"})
     return failures
 
@@ -186,7 +199,7 @@ def _prop_min_degree_hc(g: Graph, facts: GraphFacts):
                 failures.append({"detail": f"({u},{v}) " + _raised(p)})
             elif len(p) != g.n:
                 failures.append({"detail": f"({u},{v}): not a Hamilton path"})
-    if not brute_hamiltonian_connected(g):
+    if facts.hamiltonian_connected is False:
         failures.append({"detail": "oracle says not hamiltonian-connected"})
     return failures
 
@@ -194,14 +207,13 @@ def _prop_min_degree_hc(g: Graph, facts: GraphFacts):
 def _prop_fan_ham(g: Graph, facts: GraphFacts):
     if not facts.two_connected:
         return None
-    # Above the oracle's guard, Hamiltonicity is read only where a condition holds.
-    if g.n <= DEFAULT_LIMIT and facts.hamiltonian:
-        return []  # a failure needs a condition that holds on a non-Hamiltonian graph
+    if facts.hamiltonian is not False:
+        return []  # only a graph the oracle calls non-Hamiltonian can fail
     at = facts.cert.value
     failures = []
-    if check_fan_type(g, at).holds and not facts.hamiltonian:
+    if check_fan_type(g, at).holds:
         failures.append({"detail": "fan-type condition holds but graph is not hamiltonian"})
-    if check_liu_yuan_zhang(g, at).holds and not facts.hamiltonian:
+    if check_liu_yuan_zhang(g, at).holds:
         failures.append({"detail": "distance-two degree condition holds but graph is not hamiltonian"})
     return failures
 

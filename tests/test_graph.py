@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from biphole import Graph, GraphError, NotTwoConnectedError
 from biphole import complete, cycle, empty, enumerate_labeled, path, petersen
 
-from conftest import graphs
+from conftest import graphs, seeded_graphs
 
 
 def test_from_edges_path():
@@ -101,6 +102,95 @@ def test_two_disjoint_paths_k4_minus_edge():
 def test_two_disjoint_paths_requires_two_connected():
     with pytest.raises(NotTwoConnectedError):
         path(3).two_disjoint_paths(0, 2)
+
+
+@pytest.mark.parametrize("x, y", [(0, 7), (-1, 2), (0, 5), (5, 5)])
+def test_two_disjoint_paths_rejects_vertices_outside_the_graph(x, y):
+    with pytest.raises(GraphError, match="vertex outside graph"):
+        cycle(5).two_disjoint_paths(x, y)
+
+
+def _reference_two_disjoint_paths(g, x, y):
+    # The flow network in dicts keyed by arc that the mask flow replaced:
+    # in(v) = 2v, out(v) = 2v + 1, each node's arcs in sorted order.
+    cap = {}
+    nbrs = {}
+
+    def arc(a, b, c):
+        cap[(a, b)] = c
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+
+    for v in range(g.n):
+        arc(2 * v, 2 * v + 1, 2 if v in (x, y) else 1)
+    for u in range(g.n):
+        for w in g.neighbors(u):
+            arc(2 * u + 1, 2 * w, 1)
+    for lst in nbrs.values():
+        lst.sort()
+    source, sink = 2 * x + 1, 2 * y
+    flow = {}
+
+    def residual(a, b):
+        return cap.get((a, b), 0) - flow.get((a, b), 0)
+
+    for _ in range(2):
+        parent = {source: -1}
+        queue = deque([source])
+        while queue and sink not in parent:
+            a = queue.popleft()
+            for b in nbrs.get(a, ()):
+                if b not in parent and residual(a, b) > 0:
+                    parent[b] = a
+                    queue.append(b)
+        assert sink in parent
+        b = sink
+        while b != source:
+            a = parent[b]
+            flow[(a, b)] = flow.get((a, b), 0) + 1
+            flow[(b, a)] = flow.get((b, a), 0) - 1
+            b = a
+
+    def extract():
+        path = [x]
+        node = source
+        while node != sink:
+            nxt = min(b for b in nbrs[node] if flow.get((node, b), 0) > 0)
+            flow[(node, nxt)] -= 1
+            node = nxt
+            if node % 2 == 0:
+                path.append(node // 2)
+        return path
+
+    return extract(), extract()
+
+
+def _assert_flow_matches_reference(g):
+    pairs = 0
+    for x in range(g.n):
+        for y in range(g.n):
+            if x != y:
+                want = _reference_two_disjoint_paths(g, x, y)
+                assert g.two_disjoint_paths(x, y) == want, (g, x, y)
+                pairs += 1
+    return pairs
+
+
+def test_two_disjoint_paths_match_the_dict_flow():
+    # Every ordered pair of every 2-connected labeled graph with n <= 5,
+    # then of the 40 2-connected graphs of a seeded sample with n = 6..19.
+    small = [g for n in range(3, 6) for g in enumerate_labeled(n)]
+    small = [g for g in small if g.is_two_connected()]
+    assert sum(map(_assert_flow_matches_reference, small)) == 4_886
+    sample = [g for g in seeded_graphs(60, 19, 17, min_n=6) if g.is_two_connected()]
+    assert sum(map(_assert_flow_matches_reference, sample)) == 6_826
+
+
+@given(graphs(min_n=3, max_n=10))
+@settings(max_examples=100, deadline=None)
+def test_two_disjoint_paths_match_the_dict_flow_on_random_graphs(g):
+    if g.is_two_connected():
+        _assert_flow_matches_reference(g)
 
 
 @given(graphs(min_n=1, max_n=8))

@@ -231,6 +231,16 @@ def test_fan_ham_above_the_oracle_guard_needs_no_oracle():
     assert result.failures == []
 
 
+def test_every_property_runs_above_the_oracle_guard():
+    # Above the brute oracles' n <= 14 each property skips only its oracle
+    # comparison, so K15 and a seeded G(16, 3/4) sample are checked by all
+    # eight instead of stopping the sweep with SizeGuardError.
+    lines = [write_graph6(complete(15))] + random_corpus(5, 16, 3, 4, 1)
+    result = run_graph6_lines(lines, list(property_names()))
+    assert result.checked == {name: 6 for name in property_names()}
+    assert result.failures == []
+
+
 def test_roundtrip_only_sweep_analyses_nothing(monkeypatch):
     from biphole import Graph
 
@@ -378,11 +388,24 @@ CORRUPTED = {
         "C~",
         ["expected Hamilton cycle, got length 3"],
     ),
+    # K15, past the Hamiltonicity oracles: only their comparisons are skipped.
+    "min-degree-ham:above-oracle": (
+        K15,
+        _cycle_missing_a_vertex,
+        K15,
+        ["expected Hamilton cycle, got length 14"],
+    ),
     "min-degree-hc": (
         "C~",
         _path_of_its_ends,
         "C~",
         [f"({u},{v}): not a Hamilton path" for u, v in K4_PAIRS],
+    ),
+    "min-degree-hc:above-oracle": (
+        K15,
+        _path_of_its_ends,
+        K15,
+        sorted(f"({u},{v}): not a Hamilton path" for u, v in combinations(range(15), 2)),
     ),
     "fan-ham": (
         "C~",
