@@ -12,7 +12,12 @@ heavy coverage survives each level.
 
 Degrees are always measured in the original graph and the split (s, t) comes
 from its certificate: supergraphs keep both the degree bounds and
-hole-freeness, which is all the case analysis consumes.
+hole-freeness, which is all the case analysis consumes.  The scans read
+off-path neighbors and crossing edges from the adjacency masks.  Every
+rotated cycle is checked in full as it is made; the clique cycle and a cycle
+opened at the edge being removed are valid by construction and are not, and
+the final sequence is checked once, by ``verify_heavy_cycle``, before it
+becomes the returned Cycle.
 
 Each branch is pinned by a test on a graph (graph6) where it decides the
 cycle.  With fewer than three heavy vertices, two internally disjoint paths
@@ -35,12 +40,18 @@ from .holes import HoleCertificate, bipartite_hole_number
 from .walks import Cycle, OrientedPath, is_cycle_sequence
 
 
-def _finish_cycle(g: Graph, seq: Sequence[int], must_cover: Sequence[int]) -> Cycle:
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _finish_cycle(g: Graph, seq: Sequence[int], must_cover: int) -> Cycle:
+    """``seq`` as a Cycle of g, checked in full, that covers the vertex mask
+    ``must_cover``."""
     try:
         cyc = Cycle(g, seq)
     except WalkError as exc:
         raise InternalInconsistencyError(f"rotation produced an invalid cycle: {exc}")
-    if not set(must_cover) <= set(seq):
+    if must_cover & ~mask_of(cyc.vertices):
         raise InternalInconsistencyError("rotation dropped a path vertex")
     return cyc
 
@@ -51,7 +62,8 @@ def rotation_to_cycle(g: Graph, path, s: int, t: int) -> Cycle:
     Requires nonadjacent endpoints, a split with no (s,t)-hole in g, and
     endpoint degrees at least s + t - 1.  The three crossing-edge scans are
     tried in order; within a scan, candidate pairs are lexicographic by
-    vertex id, so the output is deterministic.
+    vertex id, so the output is deterministic.  Each candidate cycle is
+    checked in full before it is returned.
     """
     p = path if isinstance(path, OrientedPath) else OrientedPath(g, path)
     if s < 1 or t < 1:
@@ -59,30 +71,32 @@ def rotation_to_cycle(g: Graph, path, s: int, t: int) -> Cycle:
     verts = p.vertices
     k = len(verts)
     u, v = verts[0], verts[-1]
-    if g.has_edge(u, v):
+    adj = g._adj
+    if adj[u] >> v & 1:
         raise ValueError("path endpoints must be nonadjacent")
     if k < 3:
         raise ValueError("path must have at least three vertices")
     pos = {x: i for i, x in enumerate(verts)}
-    on_path = set(verts)
+    on_mask = mask_of(verts)
 
-    u_off = sorted(w for w in g.neighbors(u) if w not in on_path)
-    v_off = sorted(w for w in g.neighbors(v) if w not in on_path)
-    v_on_pos = sorted(pos[w] for w in g.neighbors(v) if w in on_path)
+    # Off-path neighbors as masks; a set bit's rank is its vertex id, so the
+    # lowest bit of a crossing mask is the lowest id.
+    u_off = list(iter_bits(adj[u] & ~on_mask))
+    v_off = adj[v] & ~on_mask
+    v_on_pos = sorted(pos[w] for w in iter_bits(adj[v] & on_mask))
     # Successors exist: v's on-path neighbors cannot include the last vertex.
-    v_on_succ = [verts[i + 1] for i in v_on_pos]
+    v_on_succ = mask_of(verts[i + 1] for i in v_on_pos)
 
     # Scan 1: off-path neighbors of u against v_off and the shifted v-neighbors.
     for x in u_off:
-        for y in v_off:
-            if g.has_edge(x, y):
-                return _finish_cycle(g, list(verts) + [y, x], verts)
+        if hit := adj[x] & v_off:
+            y = _lowest(hit)
+            return _finish_cycle(g, [*verts, y, x], on_mask)
     for x in u_off:
-        for y in sorted(v_on_succ):
-            if g.has_edge(x, y):
-                iy = pos[y]
-                seq = list(verts[:iy]) + list(reversed(verts[iy:])) + [x]
-                return _finish_cycle(g, seq, verts)
+        if hit := adj[x] & v_on_succ:
+            iy = pos[_lowest(hit)]
+            seq = [*verts[:iy], *reversed(verts[iy:]), x]
+            return _finish_cycle(g, seq, on_mask)
 
     if len(u_off) > s - 1:
         raise InternalInconsistencyError(
@@ -90,7 +104,7 @@ def rotation_to_cycle(g: Graph, path, s: int, t: int) -> Cycle:
         )
 
     need = s - len(u_off)
-    u_on_pos = sorted(pos[w] for w in g.neighbors(u) if w in on_path)
+    u_on_pos = sorted(pos[w] for w in iter_bits(adj[u] & on_mask))
     if len(u_on_pos) < need:
         raise InternalInconsistencyError(
             "first endpoint has too few on-path neighbors; wrong split?"
@@ -108,39 +122,30 @@ def rotation_to_cycle(g: Graph, path, s: int, t: int) -> Cycle:
     # shifted late v-neighbors.
     u2_pred = sorted(verts[i - 1] for i in u2_pos)
     for x in u2_pred:
-        ix = pos[x]
-        for y in v_off:
-            if g.has_edge(x, y):
-                seq = list(verts[: ix + 1]) + [y] + list(reversed(verts[ix + 1 :]))
-                return _finish_cycle(g, seq, verts)
-    v2_succ = sorted(verts[i + 1] for i in v2_pos)
+        if hit := adj[x] & v_off:
+            ix = pos[x]
+            seq = [*verts[: ix + 1], _lowest(hit), *reversed(verts[ix + 1 :])]
+            return _finish_cycle(g, seq, on_mask)
+    v2_succ = mask_of(verts[i + 1] for i in v2_pos)
     for x in u2_pred:
         ix = pos[x]
-        for y in v2_succ:
+        for y in iter_bits(adj[x] & v2_succ):
             iy = pos[y]
-            if g.has_edge(x, y) and iy > ix + 1:
-                seq = (
-                    list(verts[: ix + 1])
-                    + list(verts[iy:])
-                    + list(reversed(verts[ix + 1 : iy]))
-                )
-                return _finish_cycle(g, seq, verts)
+            if iy > ix + 1:
+                seq = [*verts[: ix + 1], *verts[iy:], *reversed(verts[ix + 1 : iy])]
+                return _finish_cycle(g, seq, on_mask)
 
     # Scan 3: successors of the early v-neighbors against the shifted late
     # u-neighbors.
     v3_succ = sorted(verts[i + 1] for i in v3_pos)
-    u3_succ = sorted(verts[i + 1] for i in u3_pos)
+    u3_succ = mask_of(verts[i + 1] for i in u3_pos)
     for x in v3_succ:
         ix = pos[x]
-        for y in u3_succ:
+        for y in iter_bits(adj[x] & u3_succ):
             iy = pos[y]
-            if g.has_edge(x, y) and iy > ix:
-                seq = (
-                    list(verts[:ix])
-                    + list(reversed(verts[iy:]))
-                    + list(verts[ix:iy])
-                )
-                return _finish_cycle(g, seq, verts)
+            if iy > ix:
+                seq = [*verts[:ix], *reversed(verts[iy:]), *verts[ix:iy]]
+                return _finish_cycle(g, seq, on_mask)
 
     raise InternalInconsistencyError(
         "no rotation case applies; the split is not hole-free or a "
@@ -168,65 +173,66 @@ def _cycle_through_heavy(g: Graph, cert: HoleCertificate) -> Cycle:
     """The body of ``cycle_through_heavy``, given a 2-connected g and its
     certificate."""
     threshold = cert.value
-    heavy = [x for x in range(g.n) if g.degree(x) >= threshold]
+    heavy = [x for x, d in enumerate(g._degrees) if d >= threshold]
 
     if len(heavy) < 3:
         # Two internally disjoint (a, b)-paths close into a cycle through a
         # and b: the two heavy vertices, else the heavy vertex or vertex 0
         # and its lowest neighbor.
         a = heavy[0] if heavy else 0
-        b = heavy[1] if len(heavy) == 2 else min(g.neighbors(a))
+        b = heavy[1] if len(heavy) == 2 else _lowest(g._adj[a])
         p1, p2 = g._two_disjoint_paths(a, b)
-        seq = p1 + p2[-2:0:-1]
+        seq = (*p1, *p2[-2:0:-1])
     else:
         s, t = cert.hole_free_pair
         # Closure: join every nonadjacent heavy pair, so the heavy set is a
         # clique; the pairs are added in lexicographic order.
+        adj = list(g._adj)
         added = [
             (a, b)
             for i, a in enumerate(heavy)
             for b in heavy[i + 1 :]
-            if not g.has_edge(a, b)
+            if not adj[a] >> b & 1
         ]
-        adj = [g.adj_mask(x) for x in range(g.n)]
         for a, b in added:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-        cyc = Cycle(Graph._from_adj(g.n, adj), heavy)  # clique cycle, ascending
+        seq = tuple(heavy)  # the clique cycle, ascending
         # Unwind the added edges, last first: if the cycle uses the edge, open
         # it into a path and rotate in the one-thinner graph; otherwise the
-        # cycle already lives there.
+        # cycle already lives there.  The opened cycle is the clique cycle or
+        # one rotation_to_cycle checked, so the path needs no check of its own.
         for a, b in reversed(added):
             adj[a] ^= 1 << b
             adj[b] ^= 1 << a
-            opened = _open_at(cyc.vertices, a, b)
+            opened = _open_at(seq, a, b)
             if opened is not None:
                 thinner = Graph._from_adj(g.n, adj)
-                cyc = rotation_to_cycle(thinner, OrientedPath(thinner, opened), s, t)
-        seq = cyc.vertices
+                opened = OrientedPath._trusted(thinner, tuple(opened))
+                seq = rotation_to_cycle(thinner, opened, s, t).vertices
 
-    cyc = Cycle(g, seq)
-    if not verify_heavy_cycle(g, cyc, threshold):
+    if not verify_heavy_cycle(g, seq, threshold):
         raise InternalInconsistencyError("constructed cycle failed validation")
-    return cyc
+    return Cycle._trusted(g, seq)
 
 
 def _open_at(verts: Sequence[int], a: int, b: int) -> list[int] | None:
     """The cycle ``verts`` without its edge (a, b): the remaining path from a
     to b, or None when the cycle does not use that edge."""
-    k = len(verts)
-    for i, x in enumerate(verts):
-        if {x, verts[(i + 1) % k]} == {a, b}:
-            # From one end of the edge round the cycle to the other.
-            seq = [*verts[i + 1 :], *verts[: i + 1]]
-            return seq if seq[0] == a else seq[::-1]
+    if a not in verts:
+        return None
+    i = verts.index(a)
+    if verts[i - 1] == b:  # the edge (b, a) in cycle order
+        return [*verts[i:], *verts[:i]]
+    if verts[(i + 1) % len(verts)] == b:  # the edge (a, b)
+        return [*verts[i::-1], *verts[:i:-1]]
     return None
 
 
 def verify_heavy_cycle(g: Graph, cycle, threshold: int) -> bool:
     """True iff ``cycle`` is a valid cycle of g covering every vertex of
     degree at least ``threshold``."""
-    seq = list(cycle.vertices) if isinstance(cycle, Cycle) else list(cycle)
+    seq = tuple(cycle.vertices if isinstance(cycle, Cycle) else cycle)
     if not is_cycle_sequence(g, seq):
         return False
     missing = ((1 << g.n) - 1) & ~mask_of(seq)

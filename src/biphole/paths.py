@@ -11,7 +11,12 @@ keeps both ends and every on-path heavy vertex while gaining w, so the
 first candidate a group yields closes the round, progress is strict and
 the loop runs at most |H| times.  A candidate that gains nothing, or a
 round that no group closes, raises InternalInconsistencyError at once.  One
-BFS, ``_route``, finds both the first path and each connector.
+BFS on the adjacency masks, ``_route``, finds both the first path and each
+connector, and the templates read off-path neighbors as the bits of a
+neighborhood mask outside the path's mask, in ascending order.  Each round's
+new path is checked in full; the first path (a BFS parent chain) and a
+reversal are valid by construction and are not, and ``verify_heavy_path``
+checks the returned path once more.
 
 Each remaining branch closes some round, and a test pins the smallest one
 whose output changes without it (graph6; every labeled graph with n <= 7
@@ -70,25 +75,36 @@ def _route(g: Graph, start: int, targets: int) -> list[int] | None:
     """A shortest path from ``start`` to the vertex mask ``targets``, start
     first, or None when no target is reachable.
 
-    The BFS keeps each vertex's first-found parent and ends at the lowest
-    target of the first layer that holds one, so the path never passes
-    through a target.
+    The BFS keeps each vertex's first-found parent, its frontier in the
+    order found and each vertex's neighbours ascending, and ends at the
+    lowest target of the first layer that holds one, so the path never
+    passes through a target.
     """
-    parent = {start: -1}
+    adj = g._adj
+    parent = [-1] * g.n
+    seen = 1 << start
     frontier = [start]
     while frontier:
+        before = seen
         nxt = []
         for a in frontier:
-            for b in g.neighbors(a):
-                if b not in parent:
-                    parent[b] = a
-                    nxt.append(b)
-        hits = [b for b in nxt if targets >> b & 1]
-        if hits:
-            seq = [min(hits)]
-            while seq[-1] != start:
-                seq.append(parent[seq[-1]])
-            return seq[::-1]
+            new = adj[a] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                new ^= low
+                b = low.bit_length() - 1
+                parent[b] = a
+                nxt.append(b)
+        hit = seen & ~before & targets
+        if hit:
+            b = (hit & -hit).bit_length() - 1
+            seq = [b]
+            while b != start:
+                b = parent[b]
+                seq.append(b)
+            seq.reverse()
+            return seq
         frontier = nxt
     return None
 
@@ -99,7 +115,7 @@ def initial_path(g: Graph, u: int, v: int) -> OrientedPath:
     seq = _route(g, u, 1 << v)
     if seq is None:
         raise DisconnectedError(f"no path between {u} and {v}")
-    return OrientedPath(g, seq)
+    return OrientedPath._trusted(g, tuple(seq))
 
 
 def _nearest(g: Graph, sources: int, targets: int) -> int:
@@ -112,36 +128,36 @@ def _nearest(g: Graph, sources: int, targets: int) -> int:
 # -- template groups ---------------------------------------------------------
 
 
-def _through_connector(g, verts, pos, w, connector, p_pos, q_pos):
+def _through_connector(g, verts, pos, on_mask, w, connector, p_pos, q_pos):
     """Absorption through the connector: a straight jump to the heavy pivot,
     a shared off-path neighbor, then a crossing edge from a free neighbor of
     w to a neighbor-of-the-pivot slot (an off-path neighbor of the pivot, or
     the predecessor of an on-path one before the attachment or after the
     pivot; three rerouting formulas).
     """
+    adj = g._adj
     vq = verts[q_pos]
-    q_set = set(connector)
+    free = ~(on_mask | mask_of(connector))
     head = [*verts[: p_pos + 1], *connector[1:]]
     tail = verts[q_pos:]
-    if g.has_edge(w, vq):
+    if adj[w] >> vq & 1:
         yield _chain(head, tail)
-    xs = [x for x in g.neighbors(w) if x not in pos and x not in q_set]
+    xs = list(iter_bits(adj[w] & free))
     for x in xs:
-        if g.has_edge(x, vq):
+        if adj[x] >> vq & 1:
             yield _chain(head, [x], tail)
-    ys_off = [y for y in g.neighbors(vq) if y not in pos and y not in q_set]
+    ys_off = adj[vq] & free
     for x in xs:
-        for y in ys_off:
-            if g.has_edge(x, y):
-                yield _chain(head, [x, y], tail)
+        for y in iter_bits(adj[x] & ys_off):
+            yield _chain(head, [x, y], tail)
     pred_pos = sorted(
         pos[z] - 1
-        for z in g.neighbors(vq)
-        if z in pos and (0 < pos[z] <= p_pos or pos[z] > q_pos)
+        for z in iter_bits(adj[vq] & on_mask)
+        if 0 < pos[z] <= p_pos or pos[z] > q_pos
     )
     for x in xs:
         for j in pred_pos:
-            if not g.has_edge(x, verts[j]):
+            if not adj[x] >> verts[j] & 1:
                 continue
             if j < p_pos:
                 yield _chain(
@@ -157,33 +173,33 @@ def _through_connector(g, verts, pos, w, connector, p_pos, q_pos):
                 )
 
 
-def _anchored(g, verts, pos, w, wp_pos, r_pos, q2):
+def _anchored(g, verts, pos, on_mask, w, wp_pos, r_pos, q2):
     """Mid-path case: w hangs off its anchored neighbor verts[r_pos]; scan
     around the heavy pivot at q2 > r_pos, then absorb directly if w touches
     the stretch between them."""
+    adj = g._adj
     vq = verts[q2]
     w2_pos = [i for i in wp_pos if i < r_pos]
     w3_pos = [i for i in wp_pos if i > q2]
-    nq_pos = sorted(pos[z] for z in g.neighbors(vq) if z in pos)
+    nq_pos = sorted(pos[z] for z in iter_bits(adj[vq] & on_mask))
     v1_pos = [j for j in nq_pos if r_pos < j < q2]
     v2_pos = [j for j in nq_pos if j > q2]
     v3_pos = [j for j in nq_pos if j <= r_pos]
-    nrq = [y for y in g.neighbors(vq) if y not in pos and y != w]
-    nrw_closed = [w] + [y for y in g.neighbors(w) if y not in pos]
+    nrq = adj[vq] & ~on_mask & ~(1 << w)
+    nrw_closed = [w, *iter_bits(adj[w] & ~on_mask)]
     tail = verts[q2:]
 
     # Scan A: successors of w-neighbors before the anchor, by vertex id.
     for x in sorted(verts[i + 1] for i in w2_pos):
         ix = pos[x]
         hook = [*verts[:ix], w, *reversed(verts[ix : r_pos + 1])]
-        for y in nrq:
-            if g.has_edge(x, y):
-                yield _chain(hook, [y], tail)
+        for y in iter_bits(adj[x] & nrq):
+            yield _chain(hook, [y], tail)
         for j in v1_pos:
-            if g.has_edge(x, verts[j]):
+            if adj[x] >> verts[j] & 1:
                 yield _chain(hook, verts[j:])
         for j in v2_pos:
-            if g.has_edge(x, verts[j - 1]):
+            if adj[x] >> verts[j - 1] & 1:
                 yield _chain(hook, reversed(verts[q2:j]), verts[j:])
 
     # Scan B: predecessors of pivot-neighbors at or before the anchor, by
@@ -191,7 +207,7 @@ def _anchored(g, verts, pos, w, wp_pos, r_pos, q2):
     for x in sorted(verts[j - 1] for j in v3_pos if j >= 1):
         ix = pos[x]
         for y in nrw_closed:
-            if g.has_edge(x, y):
+            if adj[x] >> y & 1:
                 yield _chain(
                     verts[: ix + 1],
                     [y, w],
@@ -199,7 +215,7 @@ def _anchored(g, verts, pos, w, wp_pos, r_pos, q2):
                     tail,
                 )
         for j in w3_pos:
-            if g.has_edge(x, verts[j - 1]):
+            if adj[x] >> verts[j - 1] & 1:
                 yield _chain(
                     verts[: ix + 1],
                     reversed(verts[q2:j]),
@@ -240,6 +256,7 @@ def augment_once(
         raise DisconnectedError(f"heavy vertex {w} unreachable from the path")
     connector.reverse()
 
+    adj = g._adj
     seen_states = set()
     while True:
         if path.last == connector[0]:
@@ -252,7 +269,7 @@ def augment_once(
         if q_pos is None:
             raise ValueError(f"no heavy vertex follows the attachment {connector[0]}")
         vq = verts[q_pos]
-        if len(connector) < 3 or not g.has_edge(connector[1], vq):
+        if len(connector) < 3 or not adj[connector[1]] >> vq & 1:
             break
         if (verts[0], vq) in seen_states:
             break
@@ -274,10 +291,12 @@ def augment_once(
             raise InternalInconsistencyError(f"template gained no heavy vertex: {seq}")
         return OrientedPath(g, seq)
 
-    better = first(_through_connector(g, verts, pos, w, connector, p_pos, q_pos))
+    better = first(
+        _through_connector(g, verts, pos, on_mask, w, connector, p_pos, q_pos)
+    )
     if better is not None:
         return better
-    wp_pos = [i for i, x in enumerate(verts) if g.has_edge(w, x)]
+    wp_pos = sorted(pos[x] for x in iter_bits(adj[w] & on_mask))
     if len(wp_pos) < s + 1:
         case = f"vertex {w} has under s+1 = {s + 1} on-path neighbors"
     elif wp_pos[s] == k - 1:
@@ -285,7 +304,7 @@ def augment_once(
     else:
         r_pos = wp_pos[s]
         q2 = next(i for i in range(r_pos + 1, k) if heavy_mask >> verts[i] & 1)
-        better = first(_anchored(g, verts, pos, w, wp_pos, r_pos, q2))
+        better = first(_anchored(g, verts, pos, on_mask, w, wp_pos, r_pos, q2))
         if better is not None:
             return better
         case = f"no anchored template around positions {r_pos} and {q2}"
@@ -317,7 +336,7 @@ def _heavy_path(g: Graph, u: int, v: int, cert: HoleCertificate) -> OrientedPath
             f"endpoints need degree >= {threshold}; got "
             f"d({u}) = {g.degree(u)}, d({v}) = {g.degree(v)}"
         )
-    heavy_mask = mask_of(x for x in range(g.n) if g.degree(x) >= threshold)
+    heavy_mask = mask_of(x for x, d in enumerate(g._degrees) if d >= threshold)
 
     if cert.value == 1:
         # Hole-number 1 means a complete graph; spell out a Hamilton path.
@@ -338,8 +357,8 @@ def _heavy_path(g: Graph, u: int, v: int, cert: HoleCertificate) -> OrientedPath
 def verify_heavy_path(g: Graph, path, u: int, v: int, threshold: int) -> bool:
     """True iff ``path`` is a valid (u, v)-path of g covering every vertex of
     degree at least ``threshold``; either orientation is accepted."""
-    seq = list(path.vertices) if isinstance(path, OrientedPath) else list(path)
-    if len(seq) < 1 or not is_path_sequence(g, seq):
+    seq = tuple(path.vertices if isinstance(path, OrientedPath) else path)
+    if not is_path_sequence(g, seq):
         return False
     if {seq[0], seq[-1]} != {u, v}:
         return False

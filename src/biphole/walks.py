@@ -2,17 +2,21 @@
 
 An OrientedPath is a sequence of distinct, consecutively adjacent vertices
 with a fixed direction, from ``first`` to ``last``.  A Cycle additionally
-closes up.  Both validate against their graph at construction time.
+closes up.  Both validate against their graph at construction time.  The
+constructions build some walks that are valid by construction (a reversal,
+a BFS parent chain, a checked cycle opened at one of its edges) through the
+private ``_trusted`` constructor, which skips that check; every walk a
+construction returns has passed a full check first.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import WalkError
 from .graph import Graph
 
 
-def _check_sequence(g: Graph, vertices: Sequence[int], kind: str) -> tuple[int, ...]:
+def _check_sequence(g: Graph, vertices: Iterable[int], kind: str) -> tuple[int, ...]:
     verts = tuple(vertices)
     if len(set(verts)) != len(verts):
         raise WalkError(f"{kind} repeats a vertex: {verts}")
@@ -27,20 +31,20 @@ def _check_sequence(g: Graph, vertices: Sequence[int], kind: str) -> tuple[int, 
     return verts
 
 
-def is_path_sequence(g: Graph, vertices: Sequence[int]) -> bool:
+def is_path_sequence(g: Graph, vertices: Iterable[int]) -> bool:
     try:
-        _check_sequence(g, vertices, "path")
+        verts = _check_sequence(g, vertices, "path")
     except WalkError:
         return False
-    return len(vertices) >= 1
+    return len(verts) >= 1
 
 
-def is_cycle_sequence(g: Graph, vertices: Sequence[int]) -> bool:
+def is_cycle_sequence(g: Graph, vertices: Iterable[int]) -> bool:
     try:
-        _check_sequence(g, vertices, "cycle")
+        verts = _check_sequence(g, vertices, "cycle")
     except WalkError:
         return False
-    return len(vertices) >= 3 and g.has_edge(vertices[-1], vertices[0])
+    return len(verts) >= 3 and g.has_edge(verts[-1], verts[0])
 
 
 class OrientedPath:
@@ -54,6 +58,14 @@ class OrientedPath:
             raise WalkError("path must contain at least one vertex")
         self.graph = g
         self.vertices = verts
+
+    @classmethod
+    def _trusted(cls, g: Graph, verts: tuple[int, ...]) -> "OrientedPath":
+        # Trusted fast path: caller guarantees ``verts`` is a path of g.
+        p = object.__new__(cls)
+        p.graph = g
+        p.vertices = verts
+        return p
 
     @property
     def first(self) -> int:
@@ -79,7 +91,7 @@ class OrientedPath:
         return "OrientedPath(" + "-".join(map(str, self.vertices)) + ")"
 
     def flip(self) -> "OrientedPath":
-        return OrientedPath(self.graph, tuple(reversed(self.vertices)))
+        return OrientedPath._trusted(self.graph, self.vertices[::-1])
 
 
 class Cycle:
@@ -95,6 +107,14 @@ class Cycle:
             raise WalkError(f"cycle does not close: ({verts[-1]},{verts[0]})")
         self.graph = g
         self.vertices = verts
+
+    @classmethod
+    def _trusted(cls, g: Graph, verts: tuple[int, ...]) -> "Cycle":
+        # Trusted fast path: caller guarantees ``verts`` is a cycle of g.
+        c = object.__new__(cls)
+        c.graph = g
+        c.vertices = verts
+        return c
 
     def __len__(self):
         return len(self.vertices)

@@ -155,6 +155,19 @@ def test_open_at():
     assert cycles_mod._open_at(verts, 1, 2) == [1, 0, 3, 2]
     assert cycles_mod._open_at(verts, 2, 1) == [2, 3, 0, 1]
     assert cycles_mod._open_at(verts, 0, 2) is None
+    assert cycles_mod._open_at(verts, 7, 0) is None  # an end off the cycle
+    assert cycles_mod._open_at((4, 2, 0), 0, 4) == [0, 2, 4]  # a triangle
+    assert cycles_mod._open_at((4, 2, 0), 0, 2) == [0, 4, 2]
+
+
+def test_final_cycle_that_fails_validation_raises(monkeypatch):
+    # The final cycle is checked once, by verify_heavy_cycle; a sequence
+    # that is not a cycle of g is a bug, reported as such and not as a
+    # WalkError.  C5 has no heavy vertex, so the cycle closes two paths
+    # between 0 and its lowest neighbor 1; 0-1-2 does not close.
+    monkeypatch.setattr(Graph, "_two_disjoint_paths", lambda g, a, b: ([a, b], [a, 2, b]))
+    with pytest.raises(InternalInconsistencyError, match="failed validation"):
+        cycle_through_heavy(cycle(5))
 
 
 def test_rotation_inconsistency_on_wrong_split():

@@ -6,6 +6,7 @@ import hashlib
 import json
 
 from biphole import (
+    BipholeError,
     ConditionReport,
     bipartite_hole_number,
     condition_names,
@@ -16,7 +17,9 @@ from biphole import (
     run_condition,
     write_graph6,
 )
+from biphole.cycles import _cycle_through_heavy, _require_two_connected
 from biphole.generators import enumerate_labeled, erdos_renyi
+from biphole.paths import _heavy_path
 from biphole.sweep import property_names, run_enumerated
 
 GOLDEN_SHA256 = "2841a1d2a2b6add294ddafdf8308c7db0840e72cb60210e517712d7395ea2c02"
@@ -27,6 +30,11 @@ GOLDEN_SHA256 = "2841a1d2a2b6add294ddafdf8308c7db0840e72cb60210e517712d7395ea2c0
 # 3,583 anchored).  The n <= 5 corpus above never reaches the bridge.
 CONSTRUCTION_SHA256 = "9f04dc9f8ab9ba387c93824d1f10e3c7637cb319321f2dcda38b32d486c278fa"
 CONSTRUCTION_P = ((1, 2), (2, 3), (3, 4), (1, 3))
+
+# The constructions on every labeled graph with n = 6, the graphs the n = 6
+# sweep runs: the cycle or its error, and the path on each of the 42,510
+# ordered heavy pairs, from one certificate per graph as the sweep does.
+N6_CONSTRUCTION_SHA256 = "3109833fb5d8c1bf12690c6e909d2c26206fc99123f9b182520776f16d3f5cd6"
 
 # Certificates (value, hole-free pair, each level witness's sorted sides) and
 # the find_hole answers for s, t <= 3 on every labeled graph with 1 <= n <= 6
@@ -53,6 +61,28 @@ def _construction_lines(g, g6):
         for v in heavy:
             if u != v:
                 yield f"{g6} path {u} {v} " + repr(_answer(heavy_path, g, u, v))
+
+
+def _shared_certificate_lines(g, g6):
+    """``_construction_lines`` with one certificate for every call."""
+    cert = bipartite_hole_number(g)
+
+    def answer(body, *args):
+        try:
+            return body(g, *args, cert).vertices
+        except BipholeError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    def cycle(g, cert):
+        _require_two_connected(g.is_two_connected())
+        return _cycle_through_heavy(g, cert)
+
+    yield g6 + " cycle " + repr(answer(cycle))
+    heavy = [v for v in range(g.n) if g.degree(v) > cert.value]
+    for u in heavy:
+        for v in heavy:
+            if u != v:
+                yield f"{g6} path {u} {v} " + repr(answer(_heavy_path, u, v))
 
 
 def _lines():
@@ -99,6 +129,17 @@ def test_constructions_match_pinned_digest():
     assert sum(" path " in line for line in lines) == 14092
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CONSTRUCTION_SHA256
+
+
+def test_n6_constructions_match_pinned_digest():
+    lines = [
+        line
+        for g in enumerate_labeled(6)
+        for line in _shared_certificate_lines(g, write_graph6(g))
+    ]
+    assert sum(" path " in line for line in lines) == 42510
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == N6_CONSTRUCTION_SHA256
 
 
 def test_certificates_match_pinned_digest():

@@ -213,6 +213,63 @@ def test_exhaustive_small_all_pairs():
                     assert p.first == u and p.last == v
 
 
+def _reference_route(g, start, targets):
+    """``paths._route`` as first written, the reference for the mask BFS: a
+    dict of first-found parents over neighbour tuples, ending at the lowest
+    target of the first layer that holds one."""
+    parent = {start: -1}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in g.neighbors(a):
+                if b not in parent:
+                    parent[b] = a
+                    nxt.append(b)
+        hits = [b for b in nxt if targets >> b & 1]
+        if hits:
+            seq = [min(hits)]
+            while seq[-1] != start:
+                seq.append(parent[seq[-1]])
+            return seq[::-1]
+        frontier = nxt
+    return None
+
+
+def test_route_matches_reference_exhaustively():
+    # Every start and every target mask of every connected labeled graph
+    # with n <= 5.
+    found = 0
+    for n in range(1, 6):
+        for g in enumerate_labeled(n):
+            if not g.is_connected():
+                continue
+            for start in range(n):
+                for targets in range(1 << n):
+                    want = _reference_route(g, start, targets)
+                    assert paths_mod._route(g, start, targets) == want
+                    found += want is not None
+    assert found == 111_404
+
+
+@given(graphs(min_n=1, max_n=10), st.data())
+@settings(max_examples=300, deadline=None)
+def test_route_matches_reference(g, data):
+    start = data.draw(st.integers(0, g.n - 1))
+    targets = data.draw(st.integers(0, (1 << g.n) - 1))
+    assert paths_mod._route(g, start, targets) == _reference_route(g, start, targets)
+
+
+def test_route_that_returns_a_non_path_is_caught(monkeypatch):
+    # The first path is a BFS parent chain and is not checked on its own;
+    # the final check still refuses a chain that is not a path.  In K4 minus
+    # the edge 0-3, 1-3-0-2 uses that non-edge.
+    assert paths_mod._route(K4_MINUS_EDGE, 1, 1 << 2) == [1, 2]
+    monkeypatch.setattr(paths_mod, "_route", lambda g, start, targets: [1, 3, 0, 2])
+    with pytest.raises(InternalInconsistencyError, match="failed validation"):
+        heavy_path(K4_MINUS_EDGE, 1, 2)
+
+
 def _assert_connector(g, p, w, connector):
     """Q starts on the path, ends at w and keeps its interior off the path."""
     assert connector[0] in p.vertices and connector[-1] == w

@@ -1,6 +1,7 @@
 import pytest
 
 from biphole import Cycle, OrientedPath, WalkError, cycle, complete, path
+from biphole.walks import is_cycle_sequence, is_path_sequence
 
 
 def test_path_navigation():
@@ -28,6 +29,17 @@ def test_cycle_validation():
     with pytest.raises(WalkError):
         Cycle(cycle(5), [0, 2, 4])  # non-edges
 
+
+def test_sequence_predicates_take_any_iterable():
+    # The answer depends on the vertices, not on the container they come in.
+    c4 = cycle(4)
+    for make in (list, tuple, iter):
+        assert is_path_sequence(c4, make([0, 1]))
+        assert not is_path_sequence(c4, make([0, 2]))
+        assert not is_path_sequence(c4, make([]))
+        assert is_cycle_sequence(c4, make([0, 1, 2, 3]))
+        assert not is_cycle_sequence(c4, make([0, 1, 2]))
+        assert not is_cycle_sequence(c4, make([0, 1]))
 
 
 @pytest.mark.parametrize(
