@@ -15,9 +15,11 @@ from its certificate: supergraphs keep both the degree bounds and
 hole-freeness, which is all the case analysis consumes.  The scans read
 off-path neighbors and crossing edges from the adjacency masks.  Every
 rotated cycle is checked in full as it is made; the clique cycle and a cycle
-opened at the edge being removed are valid by construction and are not, and
-the final sequence is checked once, by ``verify_heavy_cycle``, before it
-becomes the returned Cycle.
+opened at the edge being removed are valid by construction and are not.
+The body ``_cycle_through_heavy`` leaves the final cycle unverified, and
+each caller checks it once with ``verify_heavy_cycle``: the public
+``cycle_through_heavy`` before it returns, and the sweep's per-graph facts
+when they build it.
 
 Each branch is pinned by a test on a graph (graph6) where it decides the
 cycle.  With fewer than three heavy vertices, two internally disjoint paths
@@ -161,7 +163,8 @@ def cycle_through_heavy(g: Graph) -> Cycle:
     guarantees success).
     """
     _require_two_connected(g.is_two_connected())
-    return _cycle_through_heavy(g, bipartite_hole_number(g))
+    cert = bipartite_hole_number(g)
+    return _verified_cycle(g, _cycle_through_heavy(g, cert), cert.value)
 
 
 def _require_two_connected(two_connected: bool) -> None:
@@ -169,9 +172,18 @@ def _require_two_connected(two_connected: bool) -> None:
         raise NotTwoConnectedError("cycle_through_heavy requires a 2-connected graph")
 
 
+def _verified_cycle(g: Graph, cyc: Cycle, threshold: int) -> Cycle:
+    """``cyc`` once ``verify_heavy_cycle`` has passed on it; a failure is a
+    bug, raised as InternalInconsistencyError."""
+    if not verify_heavy_cycle(g, cyc, threshold):
+        raise InternalInconsistencyError("constructed cycle failed validation")
+    return cyc
+
+
 def _cycle_through_heavy(g: Graph, cert: HoleCertificate) -> Cycle:
     """The body of ``cycle_through_heavy``, given a 2-connected g and its
-    certificate."""
+    certificate.  Its cycle is not yet verified: every caller passes it
+    through ``_verified_cycle`` before anyone reads it."""
     threshold = cert.value
     heavy = [x for x, d in enumerate(g._degrees) if d >= threshold]
 
@@ -211,8 +223,6 @@ def _cycle_through_heavy(g: Graph, cert: HoleCertificate) -> Cycle:
                 opened = OrientedPath._trusted(thinner, tuple(opened))
                 seq = rotation_to_cycle(thinner, opened, s, t).vertices
 
-    if not verify_heavy_cycle(g, seq, threshold):
-        raise InternalInconsistencyError("constructed cycle failed validation")
     return Cycle._trusted(g, seq)
 
 

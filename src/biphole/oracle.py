@@ -1,10 +1,15 @@
 """Brute-force ground truth for cycles and paths through prescribed vertices.
 
-Plain backtracking over vertex sequences with two safe prunes: every still
-required vertex must keep at least two usable neighbors, and everything we
-still owe must stay reachable.  A hard size guard raises instead of hanging
-on a graph above ``DEFAULT_LIMIT`` vertices, one limit for every call.  The
-naive hole oracles in ``holes`` share the guard.
+The two Hamiltonicity deciders run the subset dynamic program of Bellman
+and Held and Karp (1962): for a start vertex, the mask of the ends of the
+paths that visit each vertex mask, at most 2^n * n steps, so their worst
+case is bounded.  The witness searches, ``brute_cycle_through_set`` and
+``brute_path_through_set``, are plain backtracking over vertex sequences
+with two safe prunes: every still required vertex must keep at least two
+usable neighbors, and everything we still owe must stay reachable.  The
+two algorithms share no code, so each checks the other.  A hard size guard
+raises instead of hanging on a graph above ``DEFAULT_LIMIT`` vertices, one
+limit for every call.  The naive hole oracles in ``holes`` share the guard.
 """
 from __future__ import annotations
 
@@ -113,11 +118,39 @@ def brute_path_through_set(
     return extend([u], 1 << u, need_mask)
 
 
+def _path_ends(g: Graph, start: int) -> int:
+    """The vertex mask of the ends of the Hamilton paths of g from ``start``.
+
+    ``ends[m]`` is the mask of the vertices at which some path from
+    ``start``, visiting exactly the vertex mask m, can end.  Every extension
+    adds a vertex, so the masks are filled in increasing order: a vertex b
+    outside m extends the paths into ``m`` when its adjacency mask meets
+    ``ends[m]``.
+    """
+    adj = g._adj
+    full = (1 << g.n) - 1
+    ends = [0] * (full + 1)
+    ends[1 << start] = 1 << start
+    for m in range(1 << start, full):
+        e = ends[m]
+        if not e:
+            continue
+        rest = full & ~m
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if adj[b.bit_length() - 1] & e:
+                ends[m | b] |= b
+    return ends[full]
+
+
 def brute_hamiltonian(g: Graph) -> bool:
-    """Exact Hamilton cycle decision by backtracking."""
+    """Exact Hamilton cycle decision: some Hamilton path from vertex 0 ends
+    at a neighbor of 0."""
+    _guard(g)
     if g.n < 3:
         return False
-    return brute_cycle_through_set(g, range(g.n)) is not None
+    return bool(_path_ends(g, 0) & g.adj_mask(0))
 
 
 def brute_hamiltonian_connected(g: Graph) -> bool:
@@ -125,9 +158,5 @@ def brute_hamiltonian_connected(g: Graph) -> bool:
     _guard(g)
     if g.n == 1:
         return True
-    everything = range(g.n)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if brute_path_through_set(g, u, v, everything) is None:
-                return False
-    return True
+    full = (1 << g.n) - 1
+    return all(_path_ends(g, u) | 1 << u == full for u in range(g.n))

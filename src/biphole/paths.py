@@ -15,8 +15,10 @@ BFS on the adjacency masks, ``_route``, finds both the first path and each
 connector, and the templates read off-path neighbors as the bits of a
 neighborhood mask outside the path's mask, in ascending order.  Each round's
 new path is checked in full; the first path (a BFS parent chain) and a
-reversal are valid by construction and are not, and ``verify_heavy_path``
-checks the returned path once more.
+reversal are valid by construction and are not.  The body ``_heavy_path``
+leaves the final path unverified, and each caller checks it once with
+``verify_heavy_path``: the public ``heavy_path`` before it returns, and the
+sweep's per-graph facts when they build it.
 
 Each remaining branch closes some round, and a test pins the smallest one
 whose output changes without it (graph6; every labeled graph with n <= 7
@@ -324,12 +326,24 @@ def heavy_path(g: Graph, u: int, v: int) -> OrientedPath:
     the other would give an (s, t)-hole for every split s + t = k + 1.
     """
     _check_endpoints(g, u, v)
-    return _heavy_path(g, u, v, bipartite_hole_number(g))
+    cert = bipartite_hole_number(g)
+    return _verified_path(g, _heavy_path(g, u, v, cert), u, v, cert.value + 1)
+
+
+def _verified_path(
+    g: Graph, path: OrientedPath, u: int, v: int, threshold: int
+) -> OrientedPath:
+    """``path`` once ``verify_heavy_path`` has passed on it; a failure is a
+    bug, raised as InternalInconsistencyError."""
+    if not verify_heavy_path(g, path, u, v, threshold):
+        raise InternalInconsistencyError("constructed path failed validation")
+    return path
 
 
 def _heavy_path(g: Graph, u: int, v: int, cert: HoleCertificate) -> OrientedPath:
     """The body of ``heavy_path``, given distinct in-range endpoints and
-    g's certificate."""
+    g's certificate.  Its path is not yet verified: every caller passes it
+    through ``_verified_path`` before anyone reads it."""
     threshold = cert.value + 1
     if g.degree(u) < threshold or g.degree(v) < threshold:
         raise DegreeConditionError(
@@ -349,8 +363,6 @@ def _heavy_path(g: Graph, u: int, v: int, cert: HoleCertificate) -> OrientedPath
             path = augment_once(g, path, heavy_mask, s)
         if path.first != u:
             path = path.flip()
-    if not verify_heavy_path(g, path, u, v, threshold):
-        raise InternalInconsistencyError("constructed path failed validation")
     return path
 
 

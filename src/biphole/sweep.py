@@ -4,9 +4,10 @@ certificate validity, format round-trips.
 Each property takes a graph and its ``GraphFacts`` and returns None when it
 does not apply, or a list of failure records (empty meaning pass).  The
 facts are computed at most once per graph and shared by every property, so
-a sweep builds each graph's certificate, heavy cycle, heavy path per pair
-and brute oracle answer once; ``alpha-oracle`` validates that shared
-certificate, checks it and the value of the profile kernel behind
+a sweep builds each graph's certificate and brute oracle answer once, and
+builds and verifies its heavy cycle and its heavy path per pair once: the
+properties read walks already verified.  ``alpha-oracle`` validates the
+shared certificate, checks it and the value of the profile kernel behind
 ``hole_number`` against the naive search, and the kernel's hole-free split
 against the certificate's.  Above the brute oracles' n <= 14 every property
 skips only its oracle comparison.  One runner serves every job count: it
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .conditions import check_fan_type, check_liu_yuan_zhang
-from .cycles import _cycle_through_heavy, _require_two_connected, verify_heavy_cycle
+from .cycles import _cycle_through_heavy, _require_two_connected, _verified_cycle
 from .errors import BipholeError, SizeGuardError, UnknownNameError
 from .formats import parse_graph6, write_graph6
 from .generators import _check_enumeration_order, enumerate_labeled, erdos_renyi
@@ -49,13 +50,14 @@ from .holes import (
     validate_certificate,
 )
 from .oracle import brute_hamiltonian, brute_hamiltonian_connected
-from .paths import _heavy_path, verify_heavy_path
+from .paths import _heavy_path, _verified_path
 from .walks import Cycle, OrientedPath
 
 
 class GraphFacts:
     """Per-graph analysis shared by the properties; each field is computed
-    on first read only.  A construction is kept with the error it raised,
+    on first read only.  A construction is verified once, as it is built,
+    and kept with the error it raised (a failed verification raises too),
     so every property that reads it reports that error as its own."""
 
     def __init__(self, g: Graph):
@@ -69,6 +71,12 @@ class GraphFacts:
     @cached_property
     def two_connected(self) -> bool:
         return self.graph.is_two_connected()
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether g is connected; no search when a property has already
+        found g 2-connected."""
+        return self.__dict__.get("two_connected", False) or self.graph.is_connected()
 
     def _oracle(self, oracle):
         """The brute oracle's answer, or None above its n <= 14 guard."""
@@ -91,18 +99,22 @@ class GraphFacts:
 
     @cached_property
     def heavy_cycle(self) -> Cycle | BipholeError:
-        """The cycle construction, or its error."""
+        """The cycle construction, verified, or its error."""
         try:
             _require_two_connected(self.two_connected)
-            return _cycle_through_heavy(self.graph, self.cert)
+            cyc = _cycle_through_heavy(self.graph, self.cert)
+            return _verified_cycle(self.graph, cyc, self.cert.value)
         except BipholeError as exc:
             return exc
 
     def heavy_path(self, u: int, v: int) -> OrientedPath | BipholeError:
-        """The (u, v) path construction, or its error."""
+        """The (u, v) path construction, verified, or its error."""
         if (u, v) not in self._paths:
             try:
-                self._paths[u, v] = _heavy_path(self.graph, u, v, self.cert)
+                p = _heavy_path(self.graph, u, v, self.cert)
+                self._paths[u, v] = _verified_path(
+                    self.graph, p, u, v, self.cert.value + 1
+                )
             except BipholeError as exc:
                 self._paths[u, v] = exc
         return self._paths[u, v]
@@ -138,17 +150,14 @@ def _prop_alpha_oracle(g: Graph, facts: GraphFacts):
 def _prop_heavy_cycle(g: Graph, facts: GraphFacts):
     if not facts.two_connected:
         return None
-    threshold = facts.cert.value
     cyc = facts.heavy_cycle
     if isinstance(cyc, BipholeError):
         return [{"detail": "construction " + _raised(cyc)}]
-    if not verify_heavy_cycle(g, cyc, threshold):
-        return [{"detail": "cycle failed verification"}]
     return []
 
 
 def _prop_heavy_path(g: Graph, facts: GraphFacts):
-    if g.n < 2 or not g.is_connected():
+    if g.n < 2 or not facts.connected:
         return None
     threshold = facts.cert.value + 1
     failures = []
@@ -163,8 +172,6 @@ def _prop_heavy_path(g: Graph, facts: GraphFacts):
             p = facts.heavy_path(u, v)
             if isinstance(p, BipholeError):
                 failures.append({"detail": f"({u},{v}) " + _raised(p)})
-            elif not verify_heavy_path(g, p, u, v, threshold):
-                failures.append({"detail": f"({u},{v}) failed verification"})
     return failures if ran else None
 
 

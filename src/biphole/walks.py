@@ -5,8 +5,9 @@ with a fixed direction, from ``first`` to ``last``.  A Cycle additionally
 closes up.  Both validate against their graph at construction time.  The
 constructions build some walks that are valid by construction (a reversal,
 a BFS parent chain, a checked cycle opened at one of its edges) through the
-private ``_trusted`` constructor, which skips that check; every walk a
-construction returns has passed a full check first.
+private ``_trusted`` constructor, which skips that check; every walk the
+public constructions return, and every walk the sweep reads, has passed a
+full check first.
 """
 from __future__ import annotations
 

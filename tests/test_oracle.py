@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,10 @@ from biphole import (
     brute_hamiltonian_connected,
     brute_path_through_set,
     complete,
+    complete_bipartite,
     cycle,
     empty,
+    enumerate_labeled,
     path,
     petersen,
 )
@@ -61,8 +64,42 @@ def test_hamiltonicity_spots():
 def test_size_guard(monkeypatch):
     with pytest.raises(SizeGuardError):
         brute_hamiltonian(empty(15))
+    with pytest.raises(SizeGuardError):
+        brute_hamiltonian_connected(empty(15))
     monkeypatch.setattr(oracle_mod, "DEFAULT_LIMIT", 15)
     assert brute_hamiltonian(complete(15))
+    assert brute_hamiltonian_connected(complete(15))
+
+
+def test_deciders_match_backtracking_witnesses_exhaustively():
+    # The subset DP against the backtracking witness searches, which share
+    # no code with it, on every labeled graph with n <= 6.
+    for n in range(1, 7):
+        for g in enumerate_labeled(n):
+            cycle_found = brute_cycle_through_set(g, range(n)) is not None
+            assert brute_hamiltonian(g) == cycle_found
+            every_pair = all(
+                brute_path_through_set(g, u, v, range(n)) is not None
+                for u, v in combinations(range(n), 2)
+            )
+            assert brute_hamiltonian_connected(g) == every_pair
+
+
+def test_complete_bipartite_deciders():
+    # K_{a,b} has a Hamilton cycle iff a = b >= 2; two vertices on one side
+    # have no Hamilton path between them unless the graph is K_{1,1}.
+    for a in range(1, 14):
+        for b in range(a, 15 - a):
+            g = complete_bipartite(a, b)
+            assert brute_hamiltonian(g) == (a == b >= 2), (a, b)
+            assert brute_hamiltonian_connected(g) == (a == b == 1), (a, b)
+
+
+def test_worst_cases_of_backtracking_are_decided():
+    # A backtracking search tries every alternating sequence before it
+    # fails on these; the DP's table has 2^n entries per start.
+    assert not brute_hamiltonian(complete_bipartite(6, 8))
+    assert not brute_hamiltonian_connected(complete_bipartite(7, 7))
 
 
 @given(graphs(min_n=3, max_n=7))

@@ -219,6 +219,39 @@ def test_one_certificate_per_graph(monkeypatch):
         assert seen and len(seen) == len(set(seen)), name
 
 
+def test_each_walk_is_verified_once(monkeypatch):
+    # Every property over n = 6: heavy-cycle, heavy-path and the two
+    # min-degree properties all read the walks, and the facts verify each
+    # one once, as they build it.
+    import biphole.cycles as cycles_mod
+    import biphole.paths as paths_mod
+
+    counts = {}
+    for mod in (sweep_mod, cycles_mod, paths_mod):
+        for name in ("verify_heavy_cycle", "verify_heavy_path"):
+            if hasattr(mod, name):
+                _counting(monkeypatch, mod, name, counts)
+    result = run_enumerated(6, list(property_names()))
+    assert result.ok
+    assert counts == {"verify_heavy_path": 21_015, "verify_heavy_cycle": 11_368}
+
+
+def test_heavy_path_reuses_a_known_two_connectivity(monkeypatch):
+    # heavy-path searches for connectivity only where no property has
+    # already found the graph 2-connected.
+    counts = {}
+    _counting(monkeypatch, Graph, "is_connected", counts)
+    result = run_enumerated(5, ["heavy-path"])
+    assert counts == {"is_connected": 1 << 10}
+    counts.clear()
+    both = run_enumerated(5, ["heavy-cycle", "heavy-path"])
+    assert counts == {"is_connected": (1 << 10) - both.checked["heavy-cycle"]}
+    assert (both.checked["heavy-path"], both.skipped["heavy-path"]) == (
+        result.checked["heavy-path"],
+        result.skipped["heavy-path"],
+    )
+
+
 def test_fan_ham_above_the_oracle_guard_needs_no_oracle():
     # Above the Hamiltonicity oracle's n <= 14, fan-ham reads the oracle
     # only where a condition holds; on these 2-connected graphs (the cycles
@@ -339,6 +372,10 @@ def _writer_dropping_an_edge(monkeypatch):
 
 
 K4_PAIRS = list(combinations(range(4), 2))
+CYCLE_UNVERIFIED = (
+    "construction raised InternalInconsistencyError: constructed cycle failed validation"
+)
+PATH_UNVERIFIED = "raised InternalInconsistencyError: constructed path failed validation"
 K15 = "N" + "~" * 17 + "w"
 
 # property[:corrupted answer] -> (graph6, corruption, graph6 of the failure
@@ -375,37 +412,29 @@ CORRUPTED = {
         K15,
         ["kernel split (1, 2) differs from the certificate's (1, 1)"],
     ),
-    "heavy-cycle": ("C~", _cycle_missing_a_vertex, "C~", ["cycle failed verification"]),
+    "heavy-cycle": ("C~", _cycle_missing_a_vertex, "C~", [CYCLE_UNVERIFIED]),
     "heavy-path": (
         "C~",
         _path_of_its_ends,
         "C~",
-        [f"({u},{v}) failed verification" for u, v in K4_PAIRS],
+        [f"({u},{v}) {PATH_UNVERIFIED}" for u, v in K4_PAIRS],
     ),
-    "min-degree-ham": (
-        "C~",
-        _cycle_missing_a_vertex,
-        "C~",
-        ["expected Hamilton cycle, got length 3"],
-    ),
+    # The facts verify each walk as they build it, so the min-degree
+    # properties, run alone, still refuse a walk that misses a vertex.
+    "min-degree-ham": ("C~", _cycle_missing_a_vertex, "C~", [CYCLE_UNVERIFIED]),
     # K15, past the Hamiltonicity oracles: only their comparisons are skipped.
-    "min-degree-ham:above-oracle": (
-        K15,
-        _cycle_missing_a_vertex,
-        K15,
-        ["expected Hamilton cycle, got length 14"],
-    ),
+    "min-degree-ham:above-oracle": (K15, _cycle_missing_a_vertex, K15, [CYCLE_UNVERIFIED]),
     "min-degree-hc": (
         "C~",
         _path_of_its_ends,
         "C~",
-        [f"({u},{v}): not a Hamilton path" for u, v in K4_PAIRS],
+        [f"({u},{v}) {PATH_UNVERIFIED}" for u, v in K4_PAIRS],
     ),
     "min-degree-hc:above-oracle": (
         K15,
         _path_of_its_ends,
         K15,
-        sorted(f"({u},{v}): not a Hamilton path" for u, v in combinations(range(15), 2)),
+        sorted(f"({u},{v}) {PATH_UNVERIFIED}" for u, v in combinations(range(15), 2)),
     ),
     "fan-ham": (
         "C~",
