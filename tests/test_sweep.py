@@ -227,6 +227,7 @@ def test_each_walk_is_verified_once(monkeypatch):
     import biphole.paths as paths_mod
 
     counts = {}
+    # Count the calls made through every module that binds the names.
     for mod in (sweep_mod, cycles_mod, paths_mod):
         for name in ("verify_heavy_cycle", "verify_heavy_path"):
             if hasattr(mod, name):
