@@ -150,8 +150,7 @@ class Graph:
     # -- connectivity -----------------------------------------------------
 
     def is_connected(self) -> bool:
-        # The layers are disjoint, so their sizes add up to the component's.
-        return self.n == 0 or sum(m.bit_count() for m in self.layers(1)) == self.n
+        return self.n == 0 or self._spans((1 << self.n) - 1)
 
     def cut_vertices(self) -> frozenset[int]:
         """Articulation points via iterative DFS lowpoints."""

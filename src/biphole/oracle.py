@@ -4,12 +4,15 @@ The two Hamiltonicity deciders run the subset dynamic program of Bellman
 and Held and Karp (1962): for a start vertex, the mask of the ends of the
 paths that visit each vertex mask, at most 2^n * n steps, so their worst
 case is bounded.  The witness searches, ``brute_cycle_through_set`` and
-``brute_path_through_set``, are plain backtracking over vertex sequences
-with two safe prunes: every still required vertex must keep at least two
-usable neighbors, and everything we still owe must stay reachable.  The
-two algorithms share no code, so each checks the other.  A hard size guard
-raises instead of hanging on a graph above ``DEFAULT_LIMIT`` vertices, one
-limit for every call.  The naive hole oracles in ``holes`` share the guard.
+``brute_path_through_set``, share one backtracking body over vertex
+sequences, ``_through_set``: a cycle is a path that closes at its start.
+It has two safe prunes: every still required vertex must keep at least two
+usable neighbors, and everything we still owe must stay reachable, by the
+oracles' own flood fill ``_reachable`` rather than the graph's searches.
+The deciders and the searches share no code, so each checks the other.  A
+hard size guard raises instead of hanging on a graph above
+``DEFAULT_LIMIT`` vertices, one limit for every call.  The naive hole
+oracles in ``holes`` share the guard.
 """
 from __future__ import annotations
 
@@ -38,6 +41,41 @@ def _reachable(g: Graph, start_mask: int, allowed: int) -> int:
     return seen
 
 
+def _through_set(
+    g: Graph, start: int, end: int, need: int, min_len: int
+) -> list[int] | None:
+    """Backtracking from ``start``: some list of at least ``min_len``
+    distinct, consecutively adjacent vertices that covers the vertex mask
+    ``need``, ends at a neighbor of ``end`` and leaves ``end`` off unless it
+    is ``start``, or None.  A cycle closes at ``end == start``."""
+    full = (1 << g.n) - 1
+    end_bit = 1 << end
+
+    def extend(path: list[int], visited: int, need: int) -> list[int] | None:
+        cur = path[-1]
+        if need == 0 and len(path) >= min_len and g.has_edge(cur, end):
+            return path
+        avail = (full & ~visited) | end_bit
+        # Every still-required vertex needs two usable neighbors; it and
+        # ``end`` must stay reachable from the current endpoint.
+        probe = avail | (1 << cur)
+        reach = _reachable(g, g.adj_mask(cur) & probe, probe)
+        if need & ~reach or not reach & end_bit:
+            return None
+        for w in iter_bits(need):
+            if (g.adj_mask(w) & probe).bit_count() < 2:
+                return None
+        for nxt in iter_bits(g.adj_mask(cur) & avail & ~end_bit):
+            path.append(nxt)
+            found = extend(path, visited | (1 << nxt), need & ~(1 << nxt))
+            if found is not None:
+                return found
+            path.pop()
+        return None
+
+    return extend([start], 1 << start, need)
+
+
 def brute_cycle_through_set(g: Graph, required: Iterable[int]) -> list[int] | None:
     """Some cycle whose vertex set covers ``required``, or None."""
     _guard(g)
@@ -48,37 +86,12 @@ def brute_cycle_through_set(g: Graph, required: Iterable[int]) -> list[int] | No
         return None
     if need_mask == 0:
         for a in range(g.n):
-            found = brute_cycle_through_set(g, [a])
+            found = _through_set(g, a, a, 0, 3)
             if found is not None:
                 return found
         return None
     anchor = (need_mask & -need_mask).bit_length() - 1
-    full = (1 << g.n) - 1
-    anchor_bit = 1 << anchor
-
-    def extend(path: list[int], visited: int, need: int) -> list[int] | None:
-        cur = path[-1]
-        if need == 0 and len(path) >= 3 and g.has_edge(cur, anchor):
-            return path
-        avail = (full & ~visited) | anchor_bit
-        # Every still-required vertex needs two usable cycle neighbors and
-        # must be reachable from the current endpoint.
-        probe = avail | (1 << cur)
-        reach = _reachable(g, g.adj_mask(cur) & probe, probe)
-        if need & ~reach or not reach & anchor_bit:
-            return None
-        for w in iter_bits(need):
-            if (g.adj_mask(w) & probe).bit_count() < 2:
-                return None
-        for nxt in iter_bits(g.adj_mask(cur) & avail & ~anchor_bit):
-            path.append(nxt)
-            found = extend(path, visited | (1 << nxt), need & ~(1 << nxt))
-            if found is not None:
-                return found
-            path.pop()
-        return None
-
-    return extend([anchor], anchor_bit, need_mask & ~anchor_bit)
+    return _through_set(g, anchor, anchor, need_mask & ~(1 << anchor), 3)
 
 
 def brute_path_through_set(
@@ -91,31 +104,8 @@ def brute_path_through_set(
     need_mask = mask_of(required) & ~((1 << u) | (1 << v))
     if (need_mask | (1 << u) | (1 << v)) >> g.n:
         raise ValueError("vertex outside graph")
-    full = (1 << g.n) - 1
-    v_bit = 1 << v
-
-    def extend(path: list[int], visited: int, need: int) -> list[int] | None:
-        cur = path[-1]
-        if need == 0 and g.has_edge(cur, v):
-            path.append(v)
-            return path
-        avail = full & ~visited  # v not yet visited, so v stays available
-        probe = avail | (1 << cur)
-        reach = _reachable(g, g.adj_mask(cur) & probe, probe)
-        if need & ~reach or not reach & v_bit:
-            return None
-        for w in iter_bits(need):
-            if (g.adj_mask(w) & probe).bit_count() < 2:
-                return None
-        for nxt in iter_bits(g.adj_mask(cur) & avail & ~v_bit):
-            path.append(nxt)
-            found = extend(path, visited | (1 << nxt), need & ~(1 << nxt))
-            if found is not None:
-                return found
-            path.pop()
-        return None
-
-    return extend([u], 1 << u, need_mask)
+    found = _through_set(g, u, v, need_mask, 1)
+    return None if found is None else found + [v]
 
 
 def _path_ends(g: Graph, start: int) -> int:

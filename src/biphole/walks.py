@@ -2,19 +2,23 @@
 
 An OrientedPath is a sequence of distinct, consecutively adjacent vertices
 with a fixed direction, from ``first`` to ``last``.  A Cycle additionally
-closes up.  Both validate against their graph at construction time.  The
-constructions build some walks that are valid by construction (a reversal,
-a BFS parent chain, a checked cycle opened at one of its edges) through the
-private ``_trusted`` constructor, which skips that check; every walk the
-public constructions return, and every walk the sweep reads, has passed a
-full check first.
+has at least three vertices and closes up.  Both share a private base,
+``_Walk``, and validate against their graph at construction time; the
+``is_*_sequence`` predicates try those constructors.  The constructions
+build some walks that are valid by construction (a reversal, a BFS parent
+chain, a checked cycle opened at one of its edges) through the private
+``_trusted`` constructor, which skips that check; every walk the public
+constructions return, and every walk the sweep reads, has passed a full
+check first.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from .errors import WalkError
 from .graph import Graph
+
+_W = TypeVar("_W", bound="_Walk")
 
 
 def _check_sequence(g: Graph, vertices: Iterable[int], kind: str) -> tuple[int, ...]:
@@ -34,24 +38,53 @@ def _check_sequence(g: Graph, vertices: Iterable[int], kind: str) -> tuple[int, 
 
 def is_path_sequence(g: Graph, vertices: Iterable[int]) -> bool:
     try:
-        verts = _check_sequence(g, vertices, "path")
+        OrientedPath(g, vertices)
     except WalkError:
         return False
-    return len(verts) >= 1
+    return True
 
 
 def is_cycle_sequence(g: Graph, vertices: Iterable[int]) -> bool:
     try:
-        verts = _check_sequence(g, vertices, "cycle")
+        Cycle(g, vertices)
     except WalkError:
         return False
-    return len(verts) >= 3 and g.has_edge(verts[-1], verts[0])
+    return True
 
 
-class OrientedPath:
-    """A directed simple path; orientation runs from ``first`` to ``last``."""
+class _Walk:
+    """A walk's vertex tuple in ``graph``; equal walks share kind and order."""
 
     __slots__ = ("graph", "vertices")
+
+    @classmethod
+    def _trusted(cls: type[_W], g: Graph, verts: tuple[int, ...]) -> _W:
+        # Trusted fast path: caller guarantees ``verts`` is such a walk of g.
+        w = object.__new__(cls)
+        w.graph = g
+        w.vertices = verts
+        return w
+
+    def __len__(self):
+        return len(self.vertices)
+
+    def __iter__(self):
+        return iter(self.vertices)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.vertices == other.vertices
+
+    def __hash__(self):
+        return hash(self.vertices)
+
+    def __repr__(self):
+        return type(self).__name__ + "(" + "-".join(map(str, self.vertices)) + ")"
+
+
+class OrientedPath(_Walk):
+    """A directed simple path; orientation runs from ``first`` to ``last``."""
+
+    __slots__ = ()
 
     def __init__(self, g: Graph, vertices: Sequence[int]):
         verts = _check_sequence(g, vertices, "path")
@@ -59,14 +92,6 @@ class OrientedPath:
             raise WalkError("path must contain at least one vertex")
         self.graph = g
         self.vertices = verts
-
-    @classmethod
-    def _trusted(cls, g: Graph, verts: tuple[int, ...]) -> "OrientedPath":
-        # Trusted fast path: caller guarantees ``verts`` is a path of g.
-        p = object.__new__(cls)
-        p.graph = g
-        p.vertices = verts
-        return p
 
     @property
     def first(self) -> int:
@@ -76,29 +101,14 @@ class OrientedPath:
     def last(self) -> int:
         return self.vertices[-1]
 
-    def __len__(self):
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __eq__(self, other):
-        return isinstance(other, OrientedPath) and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
-
-    def __repr__(self):
-        return "OrientedPath(" + "-".join(map(str, self.vertices)) + ")"
-
     def flip(self) -> "OrientedPath":
-        return OrientedPath._trusted(self.graph, self.vertices[::-1])
+        return self._trusted(self.graph, self.vertices[::-1])
 
 
-class Cycle:
+class Cycle(_Walk):
     """At least three distinct vertices, cyclically consecutive in the graph."""
 
-    __slots__ = ("graph", "vertices")
+    __slots__ = ()
 
     def __init__(self, g: Graph, vertices: Sequence[int]):
         verts = _check_sequence(g, vertices, "cycle")
@@ -109,28 +119,5 @@ class Cycle:
         self.graph = g
         self.vertices = verts
 
-    @classmethod
-    def _trusted(cls, g: Graph, verts: tuple[int, ...]) -> "Cycle":
-        # Trusted fast path: caller guarantees ``verts`` is a cycle of g.
-        c = object.__new__(cls)
-        c.graph = g
-        c.vertices = verts
-        return c
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
-
     def __contains__(self, v):
         return v in self.vertices
-
-    def __eq__(self, other):
-        return isinstance(other, Cycle) and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
-
-    def __repr__(self):
-        return "Cycle(" + "-".join(map(str, self.vertices)) + ")"

@@ -1,5 +1,6 @@
+import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +84,28 @@ def test_deciders_match_backtracking_witnesses_exhaustively():
                 for u, v in combinations(range(n), 2)
             )
             assert brute_hamiltonian_connected(g) == every_pair
+
+
+# The witnesses of both searches on every labeled graph with n <= 6: 155,132
+# answers.  For n <= 5, the requirement sets range(n), (), (0,) and (n-1,),
+# the cycle and the path for every ordered pair; for n = 6, range(n), the
+# cycle and the (0, 5)-path.  Pinned before the two searches shared one
+# backtracking body, and unchanged by it.
+WITNESS_SHA256 = "f9cc94007aaef85b03169e278f900dc17094c64e8c5d39e6ca3452fe2da525c7"
+
+
+def test_witnesses_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        reqs = [range(n)] if n == 6 else [range(n), (), (0,), (n - 1,)]
+        pairs = [(0, 5)] if n == 6 else list(permutations(range(n), 2))
+        for g in enumerate_labeled(n):
+            for r in reqs:
+                digest.update(repr(brute_cycle_through_set(g, r)).encode())
+            for u, v in pairs:
+                for r in reqs:
+                    digest.update(repr(brute_path_through_set(g, u, v, r)).encode())
+    assert digest.hexdigest() == WITNESS_SHA256
 
 
 def test_complete_bipartite_deciders():

@@ -37,10 +37,17 @@ def _public(namespace) -> list[str]:
     )
 
 
+def _public_members(cls) -> list[str]:
+    """Public names a class defines or inherits, short of ``object``."""
+    return _public({k: v for c in cls.__mro__[:-1] for k, v in vars(c).items()})
+
+
 def test_public_surface():
     assert _public(vars(biphole)) == EXPORTS
-    assert _public(vars(OrientedPath)) == ["first", "flip", "graph", "last", "vertices"]
-    assert _public(vars(Cycle)) == ["graph", "vertices"]
+    assert _public_members(OrientedPath) == [
+        "first", "flip", "graph", "last", "vertices",
+    ]
+    assert _public_members(Cycle) == ["graph", "vertices"]
     assert _public(vars(Graph)) == [
         "add_edge", "adj_mask", "closed_neighborhood_mask", "cut_vertices",
         "degree", "distance", "distances_from", "edges", "has_edge",

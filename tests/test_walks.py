@@ -58,3 +58,22 @@ def test_walk_errors_report_the_first_fault(seq, message):
     with pytest.raises(WalkError) as info:
         OrientedPath(path(3), seq)
     assert str(info.value) == message
+
+
+def test_walk_identity():
+    # Paths and cycles share their base, but not their equality: the kind
+    # counts as well as the vertices.
+    k4 = complete(4)
+    p, c = OrientedPath(k4, [0, 1, 2]), Cycle(k4, [0, 1, 2])
+    assert p != c and c != p
+    assert OrientedPath(k4, (0, 1, 2)) == p
+    assert hash(OrientedPath(k4, [0, 1, 2])) == hash(p)
+    assert Cycle(k4, iter([0, 1, 2])) == c and hash(Cycle(k4, (0, 1, 2))) == hash(c)
+    assert OrientedPath(k4, [2, 1, 0]) != p
+    assert len({p, c, OrientedPath(k4, [0, 1, 2])}) == 2
+    assert repr(p) == "OrientedPath(0-1-2)" and repr(c) == "Cycle(0-1-2)"
+    assert repr(OrientedPath(k4, [3])) == "OrientedPath(3)"
+    assert type(OrientedPath._trusted(k4, (0, 1))) is OrientedPath
+    assert type(Cycle._trusted(k4, (0, 1, 2))) is Cycle
+    assert type(p.flip()) is OrientedPath and p.flip() == OrientedPath(k4, [2, 1, 0])
+    assert list(c) == [0, 1, 2] and 2 in c and 3 not in c
