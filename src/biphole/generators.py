@@ -154,13 +154,17 @@ def _check_enumeration_order(n: int, allow_large: bool) -> None:
 
 
 def _graphs_of_masks(n: int, pairs: list[tuple[int, int]], masks: range) -> Iterator[Graph]:
+    """Each mask's graph, from the last one's (the empty graph first) by
+    flipping the edges of the differing bits, so any range is exact."""
+    adj = [0] * n
+    prev = 0
     for mask in masks:
-        adj = [0] * n
-        m = mask
+        m = mask ^ prev
+        prev = mask
         while m:
             low = m & -m
             u, v = pairs[low.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
             m ^= low
         yield Graph._from_adj(n, adj)

@@ -46,9 +46,11 @@ class Graph:
 
     Instances are immutable after construction; every operation is a pure
     read and `add_edge` returns a new value.  Safe to share across threads.
+    Built once per graph: ``_adj[v]`` = N(v), ``_degrees[v]`` = |N(v)|,
+    and ``_closed[v]`` = N[v], the masks that the hole searches read.
     """
 
-    __slots__ = ("n", "_adj", "_degrees")
+    __slots__ = ("n", "_adj", "_degrees", "_closed")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         _check_order(n)
@@ -62,7 +64,8 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self._adj = tuple(adj)
-        self._degrees = tuple(m.bit_count() for m in adj)
+        self._degrees = tuple(map(int.bit_count, adj))
+        self._closed = tuple([m | 1 << v for v, m in enumerate(adj)])
 
     @classmethod
     def _from_adj(cls, n: int, adj: list[int]) -> "Graph":
@@ -70,7 +73,8 @@ class Graph:
         g = object.__new__(cls)
         g.n = n
         g._adj = tuple(adj)
-        g._degrees = tuple(m.bit_count() for m in adj)
+        g._degrees = tuple(map(int.bit_count, adj))
+        g._closed = tuple([m | 1 << v for v, m in enumerate(adj)])
         return g
 
     # -- basic queries ---------------------------------------------------
@@ -195,12 +199,12 @@ class Graph:
     def is_two_connected(self) -> bool:
         """Order >= 3, connected, and no cut vertex.
 
-        Checked as n + 1 mask searches: V itself and every V - {v} must
-        induce a connected graph, which is what "no cut vertex" means once
-        V is connected.
+        Below degree 2 no search: else n + 1 mask searches, as V and every
+        V - {v} must induce a connected graph, which is what "no cut vertex"
+        means once V is connected.
         """
         n = self.n
-        if n < 3:
+        if n < 3 or min(self._degrees) < 2:
             return False
         full = (1 << n) - 1
         return self._spans(full) and all(

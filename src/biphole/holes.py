@@ -9,7 +9,9 @@ because T must avoid S and all its neighbors.  Enumeration is lexicographic
 over the smaller side, so witnesses are deterministic: S is the first s-set
 that fits, T the first t vertices outside N[S].  A witness keeps both sides
 as vertex masks, like the graph's adjacency, so T is the lowest t bits of
-the complement of N[S], and checking a witness is a few ANDs.
+the complement of N[S], and checking a witness is a few ANDs.  Every search
+below reads the closed masks N[v] that each ``Graph`` builds once, as
+``g._closed``, with its adjacency.
 
 One pruned search, ``_min_union``, answers every question with a fixed
 limit: a depth-first search over the s-sets in lexicographic order that
@@ -42,12 +44,14 @@ the kernel's value and pair against the certificate's, and the
 certificate's pair in ``validate_certificate``.
 
 The naive oracles are the independent anchor for n <= 14 and call none of
-the above: for each s-set S in lexicographic order they walk the
-lexicographic t-subset masks of all n vertices (built once per (n, t) and
-cached) up to the first T that misses S and N(S).  The masks that avoid S
-come in the order of the t-subsets of V - S, so the witness is the plain
-double enumeration's.  The test is an edge check per (S, T), not the |N[S]|
-reduction, so a fault in either search cannot hide in the oracles.
+the above.  They build their own closed masks from ``adj_mask``, so a fault
+in ``g._closed`` cannot hide in them.  For each s-set S in lexicographic
+order they walk the lexicographic t-subset masks of all n vertices (built
+once per (n, t) and cached) up to the first T that misses S and N(S).  The
+masks that avoid S come in the order of the t-subsets of V - S, so the
+witness is the plain double enumeration's.  The test is an edge check per
+(S, T), not the |N[S]| reduction, so a fault in either search cannot hide
+in the oracles.
 
 Watch the vacuous case: when s + t > n no hole can exist, so the number of
 an edgeless graph on n vertices is n, and a single vertex gives 1.
@@ -58,7 +62,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graph import Graph, iter_bits, mask_of
 from .oracle import _guard
@@ -145,11 +149,7 @@ class HoleCertificate:
     level_witnesses: tuple[HoleWitness, ...]
 
 
-def _closed_masks(g: Graph) -> list[int]:
-    return [g.adj_mask(v) | (1 << v) for v in range(g.n)]
-
-
-def _min_union(order: list[int], s: int, enough: int) -> tuple[int, int]:
+def _min_union(order: Sequence[int], s: int, enough: int) -> tuple[int, int]:
     """The least popcount of an OR of s masks of ``order``, or the first one
     found that is at most ``enough``, with the mask of the positions in
     ``order`` of its s masks.
@@ -194,7 +194,7 @@ def min_closed_neighborhood(g: Graph, s: int) -> tuple[int, frozenset[int]]:
     The search recurses s deep (see ``_min_union``)."""
     if not 1 <= s <= g.n:
         raise ValueError(f"s={s} outside 1..{g.n}")
-    size, s_mask = _min_union(_closed_masks(g), s, -1)
+    size, s_mask = _min_union(g._closed, s, -1)
     return size, frozenset(iter_bits(s_mask))
 
 
@@ -226,7 +226,7 @@ def find_hole(g: Graph, s: int, t: int) -> HoleWitness | None:
     n = g.n
     if s + t > n:
         return None
-    size, s_mask = _min_union(_closed_masks(g), s, n - t)
+    size, s_mask = _min_union(g._closed, s, n - t)
     if size > n - t:
         return None
     return _witness(n, s_mask, g.closed_neighborhood_mask(s_mask), t)
@@ -246,10 +246,10 @@ def validate_certificate(g: Graph, cert: HoleCertificate) -> bool:
     for i, w in enumerate(cert.level_witnesses):
         if w.sizes != (i + 1, k - i - 1) or not w.is_valid(g):
             return False
-    return _min_union(_closed_masks(g), s, g.n - t)[0] > g.n - t
+    return _min_union(g._closed, s, g.n - t)[0] > g.n - t
 
 
-def _fitting_sets(closed: list[int], s: int):
+def _fitting_sets(closed: Sequence[int], s: int):
     """A lexicographic cursor over the s-subsets: primed with ``next``, each
     ``send(limit)`` answers the mask of the first s-set S with
     |N[S]| <= limit and its closed mask, or None once no set is left.
@@ -284,7 +284,7 @@ def bipartite_hole_number(g: Graph) -> HoleCertificate:
     n = g.n
     if n < 1:
         raise ValueError("graph must have at least one vertex")
-    closed = _closed_masks(g)
+    closed = g._closed
     cursors = []
     below: list[tuple[int, int]] = []  # level k's holes (S, N[S]), by s
     k = 0
@@ -366,7 +366,7 @@ def naive_hole_number(g: Graph) -> int:
                 return k
 
 
-def _profile_kernel(closed: list[int]) -> tuple[int, int]:
+def _profile_kernel(closed: Sequence[int]) -> tuple[int, int]:
     """The least s + n - f(s), f(s) the least |N[S]| over the s-sets, and
     the smallest s that attains it; only the s with 2s <= best are scanned
     (see the module docstring).  That s is the certificate's: (s, k + 1 - s)
@@ -390,4 +390,4 @@ def hole_number(g: Graph) -> int:
     kernel instead of the certificate's cursor search."""
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    return _profile_kernel(_closed_masks(g))[0]
+    return _profile_kernel(g._closed)[0]

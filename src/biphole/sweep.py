@@ -3,21 +3,22 @@ certificate validity, format round-trips.
 
 Each property takes a graph and its ``GraphFacts`` and returns None when it
 does not apply, or a list of failure records (empty meaning pass).  The
-facts are computed at most once per graph and shared by every property, so
-a sweep builds each graph's certificate and brute oracle answer once, and
-builds and verifies its heavy cycle and its heavy path per pair once: the
-properties read walks already verified.  ``alpha-oracle`` validates the
-shared certificate, checks it and the value of the profile kernel behind
-``hole_number`` against the naive search, and the kernel's hole-free split
-against the certificate's.  Above the brute oracles' n <= 14 every property
-skips only its oracle comparison.  One runner serves every job count: it
-cuts the source into chunks of graph6 lines or edge-mask ranges and sweeps
-each with the same batch function, in this process for one job and on
-worker processes for more.  It aggregates a deterministic summary; every
-failure carries the offending graph6 line so it can be replayed: a graph6
-source's own input line, so that a fault in the writer that
-``g6-roundtrip`` checks cannot corrupt it, and the written graph6 of an
-enumerated graph.
+facts are computed at most once per graph, on first read and without a
+lock, and shared by every property, so a sweep builds each graph's
+certificate and brute oracle answer once, and builds and verifies its heavy
+cycle and its heavy path per pair once: the properties read walks already
+verified.  ``alpha-oracle`` validates the shared certificate, checks it and
+the value of the profile kernel behind ``hole_number`` against the naive
+search, and the kernel's hole-free split against the certificate's.  Above
+the brute oracles' n <= 14 each property skips its oracle comparison, and
+fan-ham, nothing but that comparison, is skipped.  One runner serves every
+job count: it cuts the source into chunks of graph6 lines or edge-mask
+ranges and sweeps each with the same batch function, in this process for
+one job and on worker processes for more.  It aggregates a deterministic
+summary; every failure carries the offending graph6 line so it can be
+replayed: a graph6 source's own input line, so that a fault in the writer
+that ``g6-roundtrip`` checks cannot corrupt it, and the written graph6 of
+an enumerated graph.
 
 The acceptance suite (``tests/test_acceptance.py``) checks the paper's
 claims through these properties and pins each one's checked count: every
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import combinations
 
 from .conditions import check_fan_type, check_liu_yuan_zhang
 from .cycles import _cycle_through_heavy, _require_two_connected, _verified_cycle
@@ -43,7 +44,6 @@ from .generators import _check_enumeration_order, enumerate_labeled, erdos_renyi
 from .graph import Graph
 from .holes import (
     HoleCertificate,
-    _closed_masks,
     _profile_kernel,
     bipartite_hole_number,
     naive_hole_number,
@@ -52,6 +52,19 @@ from .holes import (
 from .oracle import brute_hamiltonian, brute_hamiltonian_connected
 from .paths import _heavy_path, _verified_path
 from .walks import Cycle, OrientedPath
+
+
+class _fact:
+    """A field computed on first read into the instance ``__dict__``, which
+    then shadows it; unlike ``cached_property`` (Python < 3.12), no lock."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __get__(self, facts, owner=None):
+        if facts is None:
+            return self
+        return facts.__dict__.setdefault(self.compute.__name__, self.compute(facts))
 
 
 class GraphFacts:
@@ -64,15 +77,15 @@ class GraphFacts:
         self.graph = g
         self._paths: dict[tuple[int, int], OrientedPath | BipholeError] = {}
 
-    @cached_property
+    @_fact
     def cert(self) -> HoleCertificate:
         return bipartite_hole_number(self.graph)
 
-    @cached_property
+    @_fact
     def two_connected(self) -> bool:
         return self.graph.is_two_connected()
 
-    @cached_property
+    @_fact
     def connected(self) -> bool:
         """Whether g is connected; no search when a property has already
         found g 2-connected."""
@@ -85,19 +98,19 @@ class GraphFacts:
         except SizeGuardError:
             return None
 
-    @cached_property
+    @_fact
     def hamiltonian(self) -> bool | None:
         return self._oracle(brute_hamiltonian)
 
-    @cached_property
+    @_fact
     def hamiltonian_connected(self) -> bool | None:
         return self._oracle(brute_hamiltonian_connected)
 
-    @cached_property
+    @_fact
     def naive_value(self) -> int | None:
         return self._oracle(naive_hole_number)
 
-    @cached_property
+    @_fact
     def heavy_cycle(self) -> Cycle | BipholeError:
         """The cycle construction, verified, or its error."""
         try:
@@ -134,7 +147,7 @@ def _prop_alpha_oracle(g: Graph, facts: GraphFacts):
         )
     if not validate_certificate(g, cert):
         failures.append({"detail": "certificate failed validation"})
-    value, s = _profile_kernel(_closed_masks(g))
+    value, s = _profile_kernel(g._closed)
     if naive is not None and value != naive:
         failures.append(
             {"detail": f"hole_number {value} disagrees with naive {naive}"}
@@ -160,19 +173,15 @@ def _prop_heavy_path(g: Graph, facts: GraphFacts):
     if g.n < 2 or not facts.connected:
         return None
     threshold = facts.cert.value + 1
+    heavy = [v for v in range(g.n) if g.degree(v) >= threshold]
+    if len(heavy) < 2:
+        return None
     failures = []
-    ran = False
-    for u in range(g.n):
-        if g.degree(u) < threshold:
-            continue
-        for v in range(u + 1, g.n):
-            if g.degree(v) < threshold:
-                continue
-            ran = True
-            p = facts.heavy_path(u, v)
-            if isinstance(p, BipholeError):
-                failures.append({"detail": f"({u},{v}) " + _raised(p)})
-    return failures if ran else None
+    for u, v in combinations(heavy, 2):
+        p = facts.heavy_path(u, v)
+        if isinstance(p, BipholeError):
+            failures.append({"detail": f"({u},{v}) " + _raised(p)})
+    return failures
 
 
 def _prop_min_degree_ham(g: Graph, facts: GraphFacts):
@@ -208,8 +217,8 @@ def _prop_min_degree_hc(g: Graph, facts: GraphFacts):
 def _prop_fan_ham(g: Graph, facts: GraphFacts):
     if not facts.two_connected:
         return None
-    if facts.hamiltonian is not False:
-        return []  # only a graph the oracle calls non-Hamiltonian can fail
+    if facts.hamiltonian is not False:  # None above the oracle's guard: skip
+        return None if facts.hamiltonian is None else []
     at = facts.cert.value
     failures = []
     if check_fan_type(g, at).holds:

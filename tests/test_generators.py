@@ -126,3 +126,15 @@ def test_enumerate_mask_order():
 def test_enumerate_mask_range():
     every = list(enumerate_labeled(4))
     assert list(enumerate_labeled(4, masks=range(10, 20))) == every[10:20]
+    # Each graph is carried over from the previous mask, starting from the
+    # empty graph; ranges that start above 0, step, or descend must still
+    # give every mask's graph as a fresh build does.
+    for n in range(1, 7):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        total = 1 << len(pairs)
+        ranges = [range(total), range(1, total), range(total // 3, total // 2 + 1),
+                  range(total - 1, total), range(total - 1, 0, -3), range(5, total, 7)]
+        for masks in ranges:
+            fresh = [Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                     for mask in masks]
+            assert list(enumerate_labeled(n, masks=masks)) == fresh

@@ -1,5 +1,6 @@
 import math
 from collections import deque
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from biphole import Graph, GraphError, NotTwoConnectedError
 from biphole import complete, cycle, empty, enumerate_labeled, path, petersen
+from biphole import erdos_renyi, parse_graph6, write_graph6
 
 from conftest import graphs, seeded_graphs
 
@@ -225,6 +227,26 @@ def test_two_connected_matches_vertex_deletion(g):
     # A cut vertex is one whose removal increases the component count.
     expected_cuts = {v for v in g.vertices if _removal_disconnects(g, v)}
     assert g.cut_vertices() == expected_cuts
+
+
+def test_closed_masks_are_the_closed_neighbourhoods():
+    # The hole searches read g._closed, built once with the graph; every
+    # way of building a graph must give N[v] = N(v) + v.
+    def closed_ok(g):
+        return g._closed == tuple(g.adj_mask(v) | 1 << v for v in g.vertices)
+
+    assert all(closed_ok(g) for n in range(7) for g in enumerate_labeled(n))
+    g = erdos_renyi(13, 1, 3, 5)
+    built = [
+        empty(0),
+        Graph(4, [(0, 1), (2, 1), (3, 0)]),
+        g,
+        parse_graph6(write_graph6(g)),
+        g.add_edge(*next(iter(set(combinations(g.vertices, 2)) - set(g.edges())))),
+        g.induced_subgraph([1, 4, 5, 9, 12])[0],
+        g.permuted([(5 * v + 3) % 13 for v in g.vertices]),
+    ]
+    assert all(map(closed_ok, built))
 
 
 def _two_connected_by_cut_vertices(g):

@@ -135,7 +135,7 @@ def test_kernel_agrees_with_the_certificate():
     assert len(corpus) == 34_267
     for g in corpus:
         cert = bipartite_hole_number(g)
-        value, s = holes_mod._profile_kernel(holes_mod._closed_masks(g))
+        value, s = holes_mod._profile_kernel(g._closed)
         assert (value, (s, value + 1 - s)) == (cert.value, cert.hole_free_pair)
         assert hole_number(g) == value
 
@@ -442,17 +442,12 @@ class _Tracked(int):
         return int(self).bit_count()
 
 
-def test_certificate_scans_each_subset_at_most_once(monkeypatch):
+def test_certificate_scans_each_subset_at_most_once():
     # Every s-set the search evaluates has its |N[S]| taken once; per s the
     # evaluated sets must be the first ones of ``combinations`` order, each
     # once, with none skipped.
-    real = holes_mod._closed_masks
-    monkeypatch.setattr(
-        holes_mod,
-        "_closed_masks",
-        lambda g: [_Tracked(m, frozenset({v})) for v, m in enumerate(real(g))],
-    )
     for g in [petersen(), cycle(9), erdos_renyi(14, 1, 4, 3), erdos_renyi(16, 1, 2, 5)]:
+        g._closed = tuple(_Tracked(m, frozenset({v})) for v, m in enumerate(g._closed))
         _Tracked.log = []
         bipartite_hole_number(g)
         by_size = {}
@@ -491,7 +486,7 @@ def test_cursor_returns_the_first_fitting_set(run):
     # Under non-increasing limits the cursor answers as a fresh lexicographic
     # scan would, up to its first None; no caller sends after that.
     g, s, limits = run
-    cursor = holes_mod._fitting_sets(holes_mod._closed_masks(g), s)
+    cursor = holes_mod._fitting_sets(g._closed, s)
     next(cursor)
     for limit in limits:
         expected = _first_fit(g, s, limit)
@@ -510,9 +505,8 @@ def test_pruned_search_returns_the_first_fitting_set(run):
     # lexicographically first set that fits, or with nothing fitting the
     # first lexicographic argmin, as its docstring argues.
     g, s, limits = run
-    closed = holes_mod._closed_masks(g)
     for limit in limits:
-        size, s_mask = holes_mod._min_union(closed, s, limit)
+        size, s_mask = holes_mod._min_union(g._closed, s, limit)
         fit = _first_fit(g, s, limit)
         if fit is not None:
             assert (size, s_mask) == (fit[1].bit_count(), fit[0])
@@ -560,7 +554,6 @@ def test_naive_oracle_shares_nothing_with_the_search(monkeypatch):
 
     for name in (
         "_fitting_sets",
-        "_closed_masks",
         "min_closed_neighborhood",
         "find_hole",
         "bipartite_hole_number",

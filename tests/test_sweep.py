@@ -26,11 +26,50 @@ def test_run_enumerated_serial():
 
 
 def test_run_enumerated_parallel_matches_serial():
-    serial = run_enumerated(4, ["heavy-path"])
-    parallel = run_enumerated(4, ["heavy-path"], jobs=2)
-    assert serial.checked == parallel.checked
-    assert serial.skipped == parallel.skipped
-    assert serial.failures == parallel.failures == []
+    # The chunks start inside the mask range, where each worker's
+    # enumeration begins from the empty graph.
+    for n, props in ((4, ["heavy-path"]), (5, list(property_names()))):
+        serial = run_enumerated(n, props)
+        parallel = run_enumerated(n, props, jobs=2)
+        assert serial.checked == parallel.checked
+        assert serial.skipped == parallel.skipped
+        assert serial.failures == parallel.failures == []
+    assert serial.checked["alpha-oracle"] == 1024
+
+
+def test_each_fact_is_computed_once(monkeypatch):
+    # Every property reads the facts; the certificate and the 2-connectivity
+    # test run at most once per graph.
+    calls = {"cert": [], "two": []}
+    cert, two = sweep_mod.bipartite_hole_number, Graph.is_two_connected
+
+    def counted_cert(g):
+        calls["cert"].append(g)
+        return cert(g)
+
+    def counted_two(g):
+        calls["two"].append(g)
+        return two(g)
+
+    monkeypatch.setattr(sweep_mod, "bipartite_hole_number", counted_cert)
+    monkeypatch.setattr(Graph, "is_two_connected", counted_two)
+    result = run_enumerated(5, list(property_names()))
+    assert result.ok and result.checked["alpha-oracle"] == 1024
+    for seen in calls.values():
+        assert 0 < len(seen) == len(set(seen)) <= 1024
+
+
+def test_the_anchor_reads_no_closed_masks():
+    # The naive hole-number builds its own closed masks from the adjacency,
+    # so wrong masks in g._closed cannot hide in it: alpha-oracle reports
+    # the fast searches' answers as disagreeing with it.
+    g = cycle(5)
+    g._closed = tuple(1 << v for v in range(5))  # N[v] = {v}, as if edgeless
+    result = SweepResult()
+    check_graph(g, ["alpha-oracle"], result)
+    details = [f["detail"] for f in result.failures]
+    assert "value 5 disagrees with naive 3" in details
+    assert "hole_number 5 disagrees with naive 3" in details
 
 
 def test_run_graph6_lines():
@@ -254,24 +293,29 @@ def test_heavy_path_reuses_a_known_two_connectivity(monkeypatch):
 
 
 def test_fan_ham_above_the_oracle_guard_needs_no_oracle():
-    # Above the Hamiltonicity oracle's n <= 14, fan-ham reads the oracle
-    # only where a condition holds; on these 2-connected graphs (the cycles
-    # C15..C20 and the 2-connected ones of a seeded G(17, 1/4) sample)
-    # neither holds, so each is checked and none reaches the guard.
+    # fan-ham compares the two conditions with the Hamiltonicity oracle,
+    # which stops at n = 14.  Above it there is nothing to compare, so each
+    # 2-connected graph (the cycles C15..C20 and the 2-connected ones of a
+    # seeded G(17, 1/4) sample) is skipped rather than passed unchecked,
+    # and the sweep does not stop at the guard.
     lines = [write_graph6(cycle(n)) for n in range(15, 21)]
     lines += random_corpus(20, 17, 1, 4, 0)
     result = run_graph6_lines(lines, ["fan-ham"])
-    assert result.checked == {"fan-ham": 16}
+    assert result.checked == {}
+    assert result.skipped == {"fan-ham": 26}
     assert result.failures == []
 
 
 def test_every_property_runs_above_the_oracle_guard():
-    # Above the brute oracles' n <= 14 each property skips only its oracle
-    # comparison, so K15 and a seeded G(16, 3/4) sample are checked by all
-    # eight instead of stopping the sweep with SizeGuardError.
+    # Above the brute oracles' n <= 14 each property skips its oracle
+    # comparison, so K15 and a seeded G(16, 3/4) sample run through all
+    # eight instead of stopping the sweep with SizeGuardError.  fan-ham is
+    # nothing but that comparison, so it skips all six; the other seven
+    # check them.
     lines = [write_graph6(complete(15))] + random_corpus(5, 16, 3, 4, 1)
     result = run_graph6_lines(lines, list(property_names()))
-    assert result.checked == {name: 6 for name in property_names()}
+    assert result.checked == {name: 6 for name in property_names() if name != "fan-ham"}
+    assert result.skipped == {"fan-ham": 6}
     assert result.failures == []
 
 
