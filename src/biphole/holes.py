@@ -51,7 +51,11 @@ once per (n, t) and cached) up to the first T that misses S and N(S).  The
 masks that avoid S come in the order of the t-subsets of V - S, so the
 witness is the plain double enumeration's.  The test is an edge check per
 (S, T), not the |N[S]| reduction, so a fault in either search cannot hide
-in the oracles.
+in the oracles.  The walk's answer depends on n, t and the blocked mask
+S | N(S) alone, so ``_first_free`` caches it under that key, in at most
+2^14 entries.  The key holds no graph, only the oracles' own masks: every
+S still gets its own blocked mask and its own first free T, and graphs of
+one order share the entries.
 
 Watch the vacuous case: when s + t > n no hole can exist, so the number of
 an edgeless graph on n vertices is n, and a single vertex gives 1.
@@ -319,22 +323,32 @@ def _subset_masks(n: int, t: int) -> tuple[int, ...]:
     return tuple(mask_of(subset) for subset in combinations(range(n), t))
 
 
+@lru_cache(maxsize=1 << 14)
+def _first_free(n: int, t: int, blocked: int) -> int | None:
+    """The first mask of ``_subset_masks(n, t)`` that misses ``blocked``;
+    None if every one meets it."""
+    for tm in _subset_masks(n, t):
+        if not tm & blocked:
+            return tm
+    return None
+
+
 def _naive_hole(
     n: int, closed: list[int], s: int, t: int
 ) -> tuple[tuple[int, ...], int] | None:
     """The first s-set S and, for it, the first t-set mask T of ``range(n)``
     with T & (S | N(S)) == 0, both in lexicographic order; None if no pair
-    fits.  ``closed[v]`` is the mask of N[v]."""
+    fits.  ``closed[v]`` is the mask of N[v].  Each S asks the cached
+    ``_first_free`` for its T once, with its own blocked mask."""
     if s + t > n:
         return None
-    t_masks = _subset_masks(n, t)
     for s_set in combinations(range(n), s):
         blocked = 0
         for v in s_set:
             blocked |= closed[v]
-        for tm in t_masks:
-            if not tm & blocked:
-                return s_set, tm
+        tm = _first_free(n, t, blocked)
+        if tm is not None:
+            return s_set, tm
     return None
 
 

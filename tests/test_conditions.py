@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+import biphole.conditions as conditions_mod
 from biphole import (
     UnknownNameError,
     alpha2,
@@ -22,6 +23,7 @@ from biphole import (
     petersen,
     run_condition,
 )
+from biphole.generators import enumerate_labeled
 
 from conftest import graphs, seeded_graphs
 
@@ -82,6 +84,17 @@ def test_alpha2_matches_induced_subgraph_on_bfs_rows(g):
         shared = [v for v in range(g.n) if rows[x][v] == 2 and rows[y][v] == 2]
         expected = independence_number(g.induced_subgraph(shared)[0]) if shared else 0
         assert alpha2(g, x, y) == expected
+
+
+def test_distance_two_masks_match_the_closed_neighbourhood_formula():
+    # N2(x) from the graph's closed masks equals N[N(x)] minus N[x] built
+    # through closed_neighborhood_mask, on every labeled graph to n = 6.
+    for n in range(1, 7):
+        for g in enumerate_labeled(n):
+            for x in range(n):
+                nx = g.adj_mask(x)
+                expected = g.closed_neighborhood_mask(nx) & ~(nx | 1 << x)
+                assert conditions_mod._distance_two(g, x) == expected
 
 
 def test_fan_type():

@@ -571,6 +571,28 @@ def test_naive_oracle_shares_nothing_with_the_search(monkeypatch):
                 assert w is None or (w.is_valid(g) and w.sizes == (s, t))
 
 
+def test_naive_oracle_matches_reference_from_a_cold_and_a_warm_cache():
+    # The first free T is cached by (n, t, blocked) alone, with no graph in
+    # the key.  From an empty cache and again from the one every labeled
+    # graph to n = 5 filled, the oracle answers as the double enumeration.
+    holes_mod._first_free.cache_clear()
+    misses = []
+    for _ in ("cold", "warm"):
+        for n in range(1, 6):
+            for g in enumerate_labeled(n):
+                for s in range(1, n + 1):
+                    for t in range(1, n + 1):
+                        assert naive_hole_oracle(g, s, t) == _reference_naive_hole(g, s, t)
+        misses.append(holes_mod._first_free.cache_info().misses)
+    assert misses[0] > 0 and misses[1] == misses[0]
+
+
+def test_first_free_cache_is_bounded():
+    # Keys grow with the blocked masks of each order, up to 2^n of them, so
+    # the cache keeps a fixed number of entries, not one per key ever seen.
+    assert holes_mod._first_free.cache_info().maxsize == 1 << 14
+
+
 # Graphs with their pinned hole-number and the certificate's hole-free pair.
 _CERTIFIED = [
     (petersen(), 5, (3, 3)),
