@@ -13,13 +13,16 @@ heavy coverage survives each level.
 Degrees are always measured in the original graph and the split (s, t) comes
 from its certificate: supergraphs keep both the degree bounds and
 hole-freeness, which is all the case analysis consumes.  The scans read
-off-path neighbors and crossing edges from the adjacency masks.  Every
-rotated cycle is checked in full as it is made; the clique cycle and a cycle
-opened at the edge being removed are valid by construction and are not.
+off-path neighbors and crossing edges from the adjacency masks, outside
+the on-path mask that the path carries (``_mask``).  Every rotated cycle
+is checked in full as it is made, and that check builds its mask; the
+clique cycle and a cycle opened at the edge being removed are valid by
+construction and are not, and take the mask of the cycle they come from.
 The body ``_cycle_through_heavy`` leaves the final cycle unverified, and
 each caller checks it once with ``verify_heavy_cycle``: the public
 ``cycle_through_heavy`` before it returns, and the sweep's per-graph facts
-when they build it.
+when they build it.  That check reads the mask of the walk its own fresh
+check builds, never the one the cycle carries.
 
 Each branch is pinned by a test on a graph (graph6) where it decides the
 cycle.  With fewer than three heavy vertices, two internally disjoint paths
@@ -39,7 +42,7 @@ from typing import Sequence
 from .errors import InternalInconsistencyError, NotTwoConnectedError, WalkError
 from .graph import Graph, iter_bits, mask_of
 from .holes import HoleCertificate, bipartite_hole_number
-from .walks import Cycle, OrientedPath, is_cycle_sequence
+from .walks import Cycle, OrientedPath
 
 
 def _lowest(mask: int) -> int:
@@ -53,7 +56,7 @@ def _finish_cycle(g: Graph, seq: Sequence[int], must_cover: int) -> Cycle:
         cyc = Cycle(g, seq)
     except WalkError as exc:
         raise InternalInconsistencyError(f"rotation produced an invalid cycle: {exc}")
-    if must_cover & ~mask_of(cyc.vertices):
+    if must_cover & ~cyc._mask:
         raise InternalInconsistencyError("rotation dropped a path vertex")
     return cyc
 
@@ -79,7 +82,7 @@ def rotation_to_cycle(g: Graph, path, s: int, t: int) -> Cycle:
     if k < 3:
         raise ValueError("path must have at least three vertices")
     pos = {x: i for i, x in enumerate(verts)}
-    on_mask = mask_of(verts)
+    on_mask = p._mask
 
     # Off-path neighbors as masks; a set bit's rank is its vertex id, so the
     # lowest bit of a crossing mask is the lowest id.
@@ -194,7 +197,7 @@ def _cycle_through_heavy(g: Graph, cert: HoleCertificate) -> Cycle:
         a = heavy[0] if heavy else 0
         b = heavy[1] if len(heavy) == 2 else _lowest(g._adj[a])
         p1, p2 = g._two_disjoint_paths(a, b)
-        seq = (*p1, *p2[-2:0:-1])
+        return Cycle._trusted(g, (*p1, *p2[-2:0:-1]))
     else:
         s, t = cert.hole_free_pair
         # Closure: join every nonadjacent heavy pair, so the heavy set is a
@@ -210,20 +213,22 @@ def _cycle_through_heavy(g: Graph, cert: HoleCertificate) -> Cycle:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         seq = tuple(heavy)  # the clique cycle, ascending
+        mask = mask_of(heavy)
         # Unwind the added edges, last first: if the cycle uses the edge, open
         # it into a path and rotate in the one-thinner graph; otherwise the
         # cycle already lives there.  The opened cycle is the clique cycle or
-        # one rotation_to_cycle checked, so the path needs no check of its own.
+        # one rotation_to_cycle checked, so the path needs no check of its own,
+        # and it has the cycle's vertex mask.
         for a, b in reversed(added):
             adj[a] ^= 1 << b
             adj[b] ^= 1 << a
             opened = _open_at(seq, a, b)
             if opened is not None:
                 thinner = Graph._from_adj(g.n, adj)
-                opened = OrientedPath._trusted(thinner, tuple(opened))
-                seq = rotation_to_cycle(thinner, opened, s, t).vertices
-
-    return Cycle._trusted(g, seq)
+                opened = OrientedPath._trusted(thinner, tuple(opened), mask)
+                rotated = rotation_to_cycle(thinner, opened, s, t)
+                seq, mask = rotated.vertices, rotated._mask
+        return Cycle._trusted(g, seq, mask)
 
 
 def _open_at(verts: Sequence[int], a: int, b: int) -> list[int] | None:
@@ -242,8 +247,10 @@ def _open_at(verts: Sequence[int], a: int, b: int) -> list[int] | None:
 def verify_heavy_cycle(g: Graph, cycle, threshold: int) -> bool:
     """True iff ``cycle`` is a valid cycle of g covering every vertex of
     degree at least ``threshold``."""
-    seq = tuple(cycle.vertices if isinstance(cycle, Cycle) else cycle)
-    if not is_cycle_sequence(g, seq):
+    try:
+        # Checked afresh, so the mask read is this check's, not ``cycle``'s.
+        fresh = Cycle(g, cycle.vertices if isinstance(cycle, Cycle) else cycle)
+    except WalkError:
         return False
-    missing = ((1 << g.n) - 1) & ~mask_of(seq)
+    missing = ((1 << g.n) - 1) & ~fresh._mask
     return all(g.degree(x) < threshold for x in iter_bits(missing))

@@ -5,11 +5,17 @@ codec here is strict: exact length, printable byte range 63..126, zero
 padding bits, and write(parse(s)) == s.  The parser reads the body as one
 integer and takes each column of the upper triangle as a vertex mask, the
 graph's own adjacency form, rather than one bit at a time; the writer
-builds the same integer from the masks.  The edge-list format is a loose
-"n m" header followed by m "u v" lines.  DOT output is one-way.
+builds the same integer from the masks.  Between the integer and the body,
+six bits move per table step: a graph6 group is six pairs, first pair on
+top, and a base64 digit is six bits, most significant on top, so with each
+group's bits reversed by one 64-entry table the standard base64 codec turns
+three bytes of the integer into four characters and back, in time linear
+in the body.  The edge-list format is a loose "n m" header followed by m
+"u v" lines.  DOT output is one-way.
 """
 from __future__ import annotations
 
+from binascii import a2b_base64, b2a_base64
 from typing import Iterable
 
 from .errors import ParseError
@@ -18,9 +24,13 @@ from .graph import MAX_VERTICES, Graph
 _HEADER = ">>graph6<<"
 
 
-# Each graph6 character to its six data bits, most significant first, and back.
-_SIX_BITS = {code: format(code - 63, "06b") for code in range(63, 127)}
-_CHAR_OF = {bits: chr(code) for code, bits in _SIX_BITS.items()}
+# The six-bit reversal table: entry g is the graph6 byte of the group whose
+# six pairs are the bits of g, first pair lowest, which is 63 plus g with
+# its bits reversed.  It and the base64 digit of g translate into each other.
+_GRAPH6_OF = bytes(63 + int(format(g, "06b")[::-1], 2) for g in range(64))
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_GRAPH6 = bytes.maketrans(_BASE64, _GRAPH6_OF)
+_FROM_GRAPH6 = bytes.maketrans(_GRAPH6_OF, _BASE64)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -28,9 +38,12 @@ def parse_graph6(text: str) -> Graph:
 
     The body is read as one integer whose bit k is the k-th pair (i, j),
     i < j, of the upper triangle in column-major order: (0,1), (0,2),
-    (1,2), (0,3), ...  The pairs of one column j are then j consecutive
-    bits, in order of i, so each column is the mask of j's neighbours below
-    j; its set bits are walked once to add j to those neighbours' masks."""
+    (1,2), (0,3), ...  Read backwards, each character translated to the
+    base64 digit of its group reversed, the body is that integer in base64,
+    most significant digit first.  The
+    pairs of one column j are then j consecutive bits, in order of i, so
+    each column is the mask of j's neighbours below j; its set bits are
+    walked once to add j to those neighbours' masks."""
     line = text.rstrip("\r\n")
     if line.startswith(_HEADER):
         line = line[len(_HEADER) :]
@@ -67,8 +80,10 @@ def parse_graph6(text: str) -> Graph:
     adj = [0] * n
     if not nbits:
         return Graph._from_adj(n, adj)
-    # Reversed, the bit string has pair 0 lowest and the padding on top.
-    bits = int(line[body_offset:].translate(_SIX_BITS)[::-1], 2)
+    # Zero digits on top fill the last group of four; the padding bits are
+    # the ones above pair nbits - 1.
+    digits = line[: body_offset - 1 : -1].encode().translate(_FROM_GRAPH6)
+    bits = int.from_bytes(a2b_base64(b"A" * (-groups % 4) + digits), "big")
     if bits >> nbits:
         raise ParseError("nonzero padding bits", offset=body_offset + expect - 1)
     for j in range(1, n):
@@ -87,19 +102,21 @@ def write_graph6(g: Graph) -> str:
     """Canonical graph6 encoding; parse_graph6 round-trips it exactly.
 
     The inverse of the parser's column form: column j of one integer is
-    j's neighbour mask below j, and the integer is cut into six-bit groups."""
+    j's neighbour mask below j, and the integer is cut into six-bit groups,
+    base64 digits most significant first, so the body is their reversal."""
     n = g.n
     if n <= 62:
         head = chr(n + 63)
     else:  # n <= MAX_VERTICES, well inside the 18-bit class (n <= 258047)
         head = "~" + chr((n >> 12) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
+    adj = g._adj
     bits = 0
     for j in range(n - 1, 0, -1):
-        bits = bits << j | g.adj_mask(j) & ((1 << j) - 1)
-    width = (n * (n - 1) // 2 + 5) // 6 * 6
-    # Reversed, the bit string has pair 0 first and the padding last.
-    text = format(bits, f"0{width}b")[::-1]
-    return head + "".join(_CHAR_OF[text[k : k + 6]] for k in range(0, width, 6))
+        bits = bits << j | adj[j] & ((1 << j) - 1)
+    groups = (n * (n - 1) // 2 + 5) // 6
+    # Three bytes to four digits; the zero digits on top are dropped.
+    digits = b2a_base64(bits.to_bytes((groups + 3) // 4 * 3, "big"), newline=False)
+    return head + digits[: -groups - 1 : -1].translate(_TO_GRAPH6).decode()
 
 
 def parse_edge_list(text: str, one_based: bool = False) -> Graph:

@@ -154,7 +154,10 @@ class Graph:
     # -- connectivity -----------------------------------------------------
 
     def is_connected(self) -> bool:
-        return self.n == 0 or self._spans((1 << self.n) - 1)
+        """One search over V; none when n >= 2 and some vertex is isolated."""
+        if self.n < 2:
+            return True
+        return min(self._degrees) > 0 and self._spans((1 << self.n) - 1)
 
     def cut_vertices(self) -> frozenset[int]:
         """Articulation points via iterative DFS lowpoints."""

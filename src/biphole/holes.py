@@ -382,15 +382,16 @@ def naive_hole_number(g: Graph) -> int:
 
 def _profile_kernel(closed: Sequence[int]) -> tuple[int, int]:
     """The least s + n - f(s), f(s) the least |N[S]| over the s-sets, and
-    the smallest s that attains it; only the s with 2s <= best are scanned
-    (see the module docstring).  That s is the certificate's: (s, k + 1 - s)
-    is hole-free for k the value, and no smaller s has a hole-free split
-    of k + 1."""
+    the smallest s that attains it, for n >= 1 closed masks; only the s
+    with 2s <= best are scanned (see the module docstring).  That s is the
+    certificate's: (s, k + 1 - s) is hole-free for k the value, and no
+    smaller s has a hole-free split of k + 1.  The masks are sorted by
+    size, so f(1) is the first one's and s = 1 needs no search."""
     n = len(closed)
     order = sorted(closed, key=int.bit_count)
-    best = n
-    best_s = 1  # every term is at most n, so s = 1 attains n if none is less
-    s = 1
+    best = 1 + n - order[0].bit_count()
+    best_s = 1
+    s = 2
     while 2 * s <= best:
         term = s + n - _min_union(order, s, s + n - best)[0]
         if term < best:

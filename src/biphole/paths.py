@@ -13,12 +13,15 @@ the loop runs at most |H| times.  A candidate that gains nothing, or a
 round that no group closes, raises InternalInconsistencyError at once.  One
 BFS on the adjacency masks, ``_route``, finds both the first path and each
 connector, and the templates read off-path neighbors as the bits of a
-neighborhood mask outside the path's mask, in ascending order.  Each round's
-new path is checked in full; the first path (a BFS parent chain) and a
-reversal are valid by construction and are not.  The body ``_heavy_path``
+neighborhood mask outside the path's mask, in ascending order.  That mask
+is the one the path carries (``_mask``), built by its check; no round
+rebuilds it from the vertices.  Each round's new path is checked in full;
+the first path (a BFS parent chain) and a reversal are valid by
+construction and are not.  The body ``_heavy_path``
 leaves the final path unverified, and each caller checks it once with
 ``verify_heavy_path``: the public ``heavy_path`` before it returns, and the
-sweep's per-graph facts when they build it.
+sweep's per-graph facts when they build it.  That check reads the mask of
+the walk its own fresh check builds, so a wrong carried mask cannot hide.
 
 Each remaining branch closes some round, and a test pins the smallest one
 whose output changes without it (graph6; every labeled graph with n <= 7
@@ -47,10 +50,11 @@ from .errors import (
     DegreeConditionError,
     DisconnectedError,
     InternalInconsistencyError,
+    WalkError,
 )
 from .graph import Graph, iter_bits, mask_of
 from .holes import HoleCertificate, bipartite_hole_number
-from .walks import OrientedPath, is_path_sequence
+from .walks import OrientedPath
 
 #: ``"fallback"`` counts the rounds that no template group closed.
 DIAGNOSTICS: Counter = Counter()
@@ -123,7 +127,17 @@ def initial_path(g: Graph, u: int, v: int) -> OrientedPath:
 def _nearest(g: Graph, sources: int, targets: int) -> int:
     """The lowest target in the first BFS layer around ``sources`` that
     holds one; the lowest target when none is reachable."""
-    hit = next((m & targets for m in g.layers(sources) if m & targets), targets)
+    adj = g._adj
+    seen = layer = sources
+    while layer and not layer & targets:
+        nxt = 0
+        while layer:
+            low = layer & -layer
+            nxt |= adj[low.bit_length() - 1]
+            layer ^= low
+        layer = nxt & ~seen
+        seen |= layer
+    hit = layer & targets or targets
     return (hit & -hit).bit_length() - 1
 
 
@@ -248,7 +262,7 @@ def augment_once(
     heavy vertex of the path follows the attachment; ``heavy_path`` meets
     neither, since both ends of its paths are heavy.
     """
-    on_mask = mask_of(path.vertices)
+    on_mask = path._mask
     missing = heavy_mask & ~on_mask
     if not missing:
         raise ValueError("no heavy vertex off the path")
@@ -289,9 +303,10 @@ def augment_once(
         seq = next(candidates, None)
         if seq is None:
             return None
-        if (heavy_mask & mask_of(seq)).bit_count() <= had:
+        better = OrientedPath(g, seq)
+        if (heavy_mask & better._mask).bit_count() <= had:
             raise InternalInconsistencyError(f"template gained no heavy vertex: {seq}")
-        return OrientedPath(g, seq)
+        return better
 
     better = first(
         _through_connector(g, verts, pos, on_mask, w, connector, p_pos, q_pos)
@@ -359,7 +374,7 @@ def _heavy_path(g: Graph, u: int, v: int, cert: HoleCertificate) -> OrientedPath
     else:
         s = cert.hole_free_pair[0]
         path = initial_path(g, u, v)
-        while heavy_mask & ~mask_of(path.vertices):
+        while heavy_mask & ~path._mask:
             path = augment_once(g, path, heavy_mask, s)
         if path.first != u:
             path = path.flip()
@@ -369,10 +384,12 @@ def _heavy_path(g: Graph, u: int, v: int, cert: HoleCertificate) -> OrientedPath
 def verify_heavy_path(g: Graph, path, u: int, v: int, threshold: int) -> bool:
     """True iff ``path`` is a valid (u, v)-path of g covering every vertex of
     degree at least ``threshold``; either orientation is accepted."""
-    seq = tuple(path.vertices if isinstance(path, OrientedPath) else path)
-    if not is_path_sequence(g, seq):
+    try:
+        # Checked afresh, so the mask read is this check's, not ``path``'s.
+        fresh = OrientedPath(g, path.vertices if isinstance(path, OrientedPath) else path)
+    except WalkError:
         return False
-    if {seq[0], seq[-1]} != {u, v}:
+    if {fresh.first, fresh.last} != {u, v}:
         return False
-    missing = ((1 << g.n) - 1) & ~mask_of(seq)
+    missing = ((1 << g.n) - 1) & ~fresh._mask
     return all(g.degree(x) < threshold for x in iter_bits(missing))

@@ -10,30 +10,43 @@ chain, a checked cycle opened at one of its edges) through the private
 ``_trusted`` constructor, which skips that check; every walk the public
 constructions return, and every walk the sweep reads, has passed a full
 check first.
+
+Every walk carries its vertex mask, ``_mask``, for the constructions to
+read: the check builds it in the pass that tests the vertices distinct
+and in range, ``_trusted`` unless given it, and ``flip`` reuses it.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence, TypeVar
 
 from .errors import WalkError
-from .graph import Graph
+from .graph import Graph, mask_of
 
 _W = TypeVar("_W", bound="_Walk")
 
 
-def _check_sequence(g: Graph, vertices: Iterable[int], kind: str) -> tuple[int, ...]:
+def _check_sequence(
+    g: Graph, vertices: Iterable[int], kind: str
+) -> tuple[tuple[int, ...], int]:
+    """The vertices as a tuple, and their mask, once they are distinct, in
+    range and consecutively adjacent in g; a repeat anywhere is reported
+    before an id out of range, and that before a non-edge."""
     verts = tuple(vertices)
-    if len(set(verts)) != len(verts):
-        raise WalkError(f"{kind} repeats a vertex: {verts}")
     n = g.n
-    if verts and not (0 <= min(verts) and max(verts) < n):
-        v = next(v for v in verts if not 0 <= v < n)
-        raise WalkError(f"{kind} vertex {v} outside graph")
+    mask = 0
+    for v in verts:
+        if not 0 <= v < n:
+            if len(set(verts)) != len(verts):
+                break  # to the repeat, which is reported first
+            raise WalkError(f"{kind} vertex {v} outside graph")
+        mask |= 1 << v
+    if mask.bit_count() != len(verts):
+        raise WalkError(f"{kind} repeats a vertex: {verts}")
     adj = g._adj
     for a, b in zip(verts, verts[1:]):
         if not adj[a] >> b & 1:
             raise WalkError(f"{kind} uses non-edge ({a},{b})")
-    return verts
+    return verts, mask
 
 
 def is_path_sequence(g: Graph, vertices: Iterable[int]) -> bool:
@@ -55,14 +68,18 @@ def is_cycle_sequence(g: Graph, vertices: Iterable[int]) -> bool:
 class _Walk:
     """A walk's vertex tuple in ``graph``; equal walks share kind and order."""
 
-    __slots__ = ("graph", "vertices")
+    __slots__ = ("graph", "vertices", "_mask")
 
     @classmethod
-    def _trusted(cls: type[_W], g: Graph, verts: tuple[int, ...]) -> _W:
-        # Trusted fast path: caller guarantees ``verts`` is such a walk of g.
+    def _trusted(
+        cls: type[_W], g: Graph, verts: tuple[int, ...], mask: int | None = None
+    ) -> _W:
+        # Trusted fast path: caller guarantees ``verts`` is such a walk of g,
+        # and ``mask``, when given, its vertex mask.
         w = object.__new__(cls)
         w.graph = g
         w.vertices = verts
+        w._mask = mask_of(verts) if mask is None else mask
         return w
 
     def __len__(self):
@@ -87,11 +104,12 @@ class OrientedPath(_Walk):
     __slots__ = ()
 
     def __init__(self, g: Graph, vertices: Sequence[int]):
-        verts = _check_sequence(g, vertices, "path")
+        verts, mask = _check_sequence(g, vertices, "path")
         if not verts:
             raise WalkError("path must contain at least one vertex")
         self.graph = g
         self.vertices = verts
+        self._mask = mask
 
     @property
     def first(self) -> int:
@@ -102,7 +120,7 @@ class OrientedPath(_Walk):
         return self.vertices[-1]
 
     def flip(self) -> "OrientedPath":
-        return self._trusted(self.graph, self.vertices[::-1])
+        return self._trusted(self.graph, self.vertices[::-1], self._mask)
 
 
 class Cycle(_Walk):
@@ -111,13 +129,14 @@ class Cycle(_Walk):
     __slots__ = ()
 
     def __init__(self, g: Graph, vertices: Sequence[int]):
-        verts = _check_sequence(g, vertices, "cycle")
+        verts, mask = _check_sequence(g, vertices, "cycle")
         if len(verts) < 3:
             raise WalkError("cycle needs at least three vertices")
         if not g.has_edge(verts[-1], verts[0]):
             raise WalkError(f"cycle does not close: ({verts[-1]},{verts[0]})")
         self.graph = g
         self.vertices = verts
+        self._mask = mask
 
     def __contains__(self, v):
         return v in self.vertices

@@ -176,6 +176,92 @@ def test_graph6_writer_matches_bitwise_reference():
         assert write_graph6(g) == _bitwise_write_graph6(g)
 
 
+# The codec before the base64 step, the reference for it: each character
+# to its six bits as a string of digits, and the body as one binary numeral.
+_SIX_BITS = {code: format(code - 63, "06b") for code in range(63, 127)}
+_CHAR_OF = {bits: chr(code) for code, bits in _SIX_BITS.items()}
+
+
+def _string_parse_graph6(text):
+    line = text.rstrip("\r\n")
+    if line.startswith(">>graph6<<"):
+        line = line[len(">>graph6<<") :]
+    if not line:
+        raise ParseError("empty graph6 string", offset=0)
+    if not "?" <= min(line) <= max(line) <= "~":
+        i, code = next((i, ord(ch)) for i, ch in enumerate(line) if not 63 <= ord(ch) <= 126)
+        raise ParseError(f"byte {code} outside graph6 range 63..126", offset=i)
+    if line[0] != "~":
+        n = ord(line[0]) - 63
+        body_offset = 1
+    else:
+        if len(line) >= 2 and line[1] == "~":
+            raise ParseError("graph6 size class above 258047 not supported", offset=1)
+        if len(line) < 4:
+            raise ParseError("truncated graph6 size field", offset=len(line))
+        n = ((ord(line[1]) - 63) << 12) | ((ord(line[2]) - 63) << 6) | (ord(line[3]) - 63)
+        body_offset = 4
+    if n > MAX_VERTICES:
+        raise ParseError(f"order {n} exceeds supported maximum {MAX_VERTICES}", offset=0)
+    nbits = n * (n - 1) // 2
+    expect = (nbits + 5) // 6
+    groups = len(line) - body_offset
+    if groups < expect:
+        raise ParseError(
+            f"graph6 body too short: {groups} groups, expected {expect}",
+            offset=len(line),
+        )
+    if groups > expect:
+        raise ParseError("trailing garbage after graph6 body", offset=body_offset + expect)
+    adj = [0] * n
+    if not nbits:
+        return Graph(n)
+    # Reversed, the bit string has pair 0 lowest and the padding on top.
+    bits = int(line[body_offset:].translate(_SIX_BITS)[::-1], 2)
+    if bits >> nbits:
+        raise ParseError("nonzero padding bits", offset=body_offset + expect - 1)
+    for j in range(1, n):
+        column = bits & ((1 << j) - 1)
+        bits >>= j
+        adj[j] = column
+        for i in range(j):
+            if column >> i & 1:
+                adj[i] |= 1 << j
+    return Graph(n, [(i, j) for j in range(n) for i in range(j) if adj[j] >> i & 1])
+
+
+def _string_write_graph6(g):
+    n = g.n
+    if n <= 62:
+        head = chr(n + 63)
+    else:
+        head = "~" + chr((n >> 12) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
+    bits = 0
+    for j in range(n - 1, 0, -1):
+        bits = bits << j | g.adj_mask(j) & ((1 << j) - 1)
+    width = (n * (n - 1) // 2 + 5) // 6 * 6
+    # Reversed, the bit string has pair 0 first and the padding last.
+    text = format(bits, f"0{width}b")[::-1]
+    return head + "".join(_CHAR_OF[text[k : k + 6]] for k in range(0, width, 6))
+
+
+def test_graph6_codec_matches_the_string_codec():
+    # Byte-equal lines and equal graphs, or the same error, on every labeled
+    # graph with n <= 6, on seeded G(n, 1/2) in both size classes up to the
+    # order cap, and on mutations of their lines.
+    corpus = [g for n in range(7) for g in enumerate_labeled(n)]
+    corpus += [erdos_renyi(n, 1, 2, seed) for n in (7, 62, 63, 200, MAX_VERTICES) for seed in (1, 2)]
+    assert len(corpus) == 33_878
+    for g in corpus:
+        line = _string_write_graph6(g)
+        assert write_graph6(g) == line
+        assert parse_graph6(line) == _string_parse_graph6(line) == g
+    mutated = [m for g in corpus[-10:] for m in _mutations(write_graph6(g)[:12])]
+    mutated += [write_graph6(g)[:-1] + "~" for g in corpus[-10:]]
+    for text in mutated:
+        assert _decoded(parse_graph6, text) == _decoded(_string_parse_graph6, text), text
+
+
 def _decoded(parse, text):
     try:
         return parse(text)
