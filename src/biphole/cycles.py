@@ -252,5 +252,5 @@ def verify_heavy_cycle(g: Graph, cycle, threshold: int) -> bool:
         fresh = Cycle(g, cycle.vertices if isinstance(cycle, Cycle) else cycle)
     except WalkError:
         return False
-    missing = ((1 << g.n) - 1) & ~fresh._mask
-    return all(g.degree(x) < threshold for x in iter_bits(missing))
+    heavy = mask_of(x for x, d in enumerate(g._degrees) if d >= threshold)
+    return not heavy & ~fresh._mask

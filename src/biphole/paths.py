@@ -391,5 +391,5 @@ def verify_heavy_path(g: Graph, path, u: int, v: int, threshold: int) -> bool:
         return False
     if {fresh.first, fresh.last} != {u, v}:
         return False
-    missing = ((1 << g.n) - 1) & ~fresh._mask
-    return all(g.degree(x) < threshold for x in iter_bits(missing))
+    heavy = mask_of(x for x, d in enumerate(g._degrees) if d >= threshold)
+    return not heavy & ~fresh._mask

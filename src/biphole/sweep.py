@@ -13,12 +13,21 @@ search, and the kernel's hole-free split against the certificate's.  Above
 the brute oracles' n <= 14 each property skips its oracle comparison, and
 fan-ham, nothing but that comparison, is skipped.  One runner serves every
 job count: it cuts the source into chunks of graph6 lines or edge-mask
-ranges and sweeps each with the same batch function, in this process for
-one job and on worker processes for more.  It aggregates a deterministic
-summary; every failure carries the offending graph6 line so it can be
-replayed: a graph6 source's own input line, so that a fault in the writer
-that ``g6-roundtrip`` checks cannot corrupt it, and the written graph6 of
-an enumerated graph.
+ranges and sweeps each with the same chunk function, in this process for
+one job and on worker processes for more.  A chunk is swept in batches
+whose graphs hold at most 1,024 vertex pairs n(n - 1)/2 together (about 68
+graphs at n = 6; a graph above the budget runs alone), so a batch's facts
+stay small.  Each graph of a batch gets its facts, then each property runs
+over the whole batch before the next.  An n = 6 graph costs about 100 us
+across all eight properties, so switching property at every graph loses
+the interpreter's locality: the n = 6 sweep runs about 1.25x faster in
+this order.  Every graph still meets the properties in the given order, so
+its facts are computed in the same order and the counts and failures equal
+those of one graph at a time.  The runner aggregates a deterministic summary; every
+failure carries the offending graph6 line so it can be replayed: a graph6
+source's own input line, so that a fault in the writer that
+``g6-roundtrip`` checks cannot corrupt it, and the written graph6 of an
+enumerated graph.
 
 The acceptance suite (``tests/test_acceptance.py``) checks the paper's
 claims through these properties and pins each one's checked count: every
@@ -281,40 +290,76 @@ class SweepResult:
 def check_graph(
     g: Graph, properties: list[str], result: SweepResult, g6: str | None = None
 ) -> None:
-    """Run the properties on g, adding the outcomes into ``result``.  A
-    failure's replay line is ``g6``, the graph's input line, when given."""
-    facts = GraphFacts(g)
+    """Run the properties on g, adding the outcomes into ``result``: a
+    sweep's batch of one (a sweep batches graphs up to ``_PAIR_BUDGET``
+    vertex pairs and runs each property over a whole batch, with the same
+    outcomes).  A failure's replay line is ``g6``, the graph's input line,
+    when given."""
+    _check_batch([(g, g6)], properties, result)
+
+
+# The most vertex pairs, n(n - 1)/2 summed over its graphs, that one batch
+# holds facts for: about 68 graphs at n = 6, and one at a time from n = 33 up.
+_PAIR_BUDGET = 1024
+
+
+def _batches(items):
+    """Cut a stream of (graph, replay line) into lists whose graphs hold at
+    most ``_PAIR_BUDGET`` vertex pairs together, a graph with n <= 1
+    counting one; a graph above the budget is a batch of its own."""
+    batch, pairs = [], 0
+    for item in items:
+        n = item[0].n
+        cost = max(1, n * (n - 1) // 2)
+        if batch and pairs + cost > _PAIR_BUDGET:
+            yield batch
+            batch, pairs = [], 0
+        batch.append(item)
+        pairs += cost
+    if batch:
+        yield batch
+
+
+def _check_batch(batch, properties: list[str], result: SweepResult) -> None:
+    """Run each property over every (graph, replay line) of the batch before
+    the next property, adding its checked and skipped counts once."""
+    facts = [GraphFacts(g) for g, _ in batch]
     for name in properties:
         try:
             prop = PROPERTIES[name]
         except KeyError:
             raise UnknownNameError("property", name, property_names()) from None
-        outcome = prop(g, facts)
-        if outcome is None:
-            result.skipped[name] = result.skipped.get(name, 0) + 1
-            continue
-        result.checked[name] = result.checked.get(name, 0) + 1
-        if outcome:
-            if g6 is None:
-                g6 = write_graph6(g)
-            for record in outcome:
-                result.failures.append({"property": name, "graph6": g6, **record})
+        checked = skipped = 0
+        for (g, g6), f in zip(batch, facts):
+            outcome = prop(g, f)
+            if outcome is None:
+                skipped += 1
+                continue
+            checked += 1
+            if outcome:
+                line = write_graph6(g) if g6 is None else g6
+                for record in outcome:
+                    result.failures.append({"property": name, "graph6": line, **record})
+        if checked:
+            result.checked[name] = result.checked.get(name, 0) + checked
+        if skipped:
+            result.skipped[name] = result.skipped.get(name, 0) + skipped
 
 
-def _run_batch(task) -> SweepResult:
+def _run_chunk(task) -> SweepResult:
     """Sweep one chunk of a source: ``("g6", lines, properties)``, where each
     line is its graph's replay line, or ``("enum", (n, lo, hi), properties)``,
-    the edge masks lo..hi of the order-n enumeration."""
+    the edge masks lo..hi of the order-n enumeration, in ``_batches``."""
     kind, payload, properties = task
-    result = SweepResult()
     if kind == "g6":
-        for line in payload:
-            check_graph(parse_graph6(line), properties, result, line)
+        items = ((parse_graph6(line), line) for line in payload)
     else:
         n, lo, hi = payload
         # run_enumerated has already applied the caller's order gate.
-        for g in enumerate_labeled(n, allow_large=True, masks=range(lo, hi)):
-            check_graph(g, properties, result)
+        items = ((g, None) for g in enumerate_labeled(n, allow_large=True, masks=range(lo, hi)))
+    result = SweepResult()
+    for batch in _batches(items):
+        _check_batch(batch, properties, result)
     return result
 
 
@@ -354,14 +399,14 @@ def _run(properties, jobs: int, total: int, task) -> SweepResult:
     tasks = [task(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     result = SweepResult()
     if jobs == 1:
-        for part in map(_run_batch, tasks):
+        for part in map(_run_chunk, tasks):
             result.merge(part)
     else:
         # Imported here, so that runs without a pool do not pay ~1.3 MiB for it.
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
-            for part in pool.imap_unordered(_run_batch, tasks):
+            for part in pool.imap_unordered(_run_chunk, tasks):
                 result.merge(part)
     result.failures.sort(
         key=lambda r: (r["property"], r["graph6"], r.get("detail", ""))

@@ -3,13 +3,13 @@
 An OrientedPath is a sequence of distinct, consecutively adjacent vertices
 with a fixed direction, from ``first`` to ``last``.  A Cycle additionally
 has at least three vertices and closes up.  Both share a private base,
-``_Walk``, and validate against their graph at construction time; the
-``is_*_sequence`` predicates try those constructors.  The constructions
-build some walks that are valid by construction (a reversal, a BFS parent
-chain, a checked cycle opened at one of its edges) through the private
-``_trusted`` constructor, which skips that check; every walk the public
-constructions return, and every walk the sweep reads, has passed a full
-check first.
+``_Walk``, and validate against their graph at construction time, so a
+sequence is tested by constructing the walk and catching ``WalkError``.
+The constructions build some walks that are valid by construction (a
+reversal, a BFS parent chain, a checked cycle opened at one of its edges)
+through the private ``_trusted`` constructor, which skips that check; every
+walk the public constructions return, and every walk the sweep reads, has
+passed a full check first.
 
 Every walk carries its vertex mask, ``_mask``, for the constructions to
 read: the check builds it in the pass that tests the vertices distinct
@@ -47,22 +47,6 @@ def _check_sequence(
         if not adj[a] >> b & 1:
             raise WalkError(f"{kind} uses non-edge ({a},{b})")
     return verts, mask
-
-
-def is_path_sequence(g: Graph, vertices: Iterable[int]) -> bool:
-    try:
-        OrientedPath(g, vertices)
-    except WalkError:
-        return False
-    return True
-
-
-def is_cycle_sequence(g: Graph, vertices: Iterable[int]) -> bool:
-    try:
-        Cycle(g, vertices)
-    except WalkError:
-        return False
-    return True
 
 
 class _Walk:

@@ -6,7 +6,17 @@ from itertools import combinations
 import pytest
 
 import biphole.sweep as sweep_mod
-from biphole import Graph, ParseError, UnknownNameError, complete, cycle, write_graph6
+from biphole import (
+    Graph,
+    ParseError,
+    UnknownNameError,
+    complete,
+    cycle,
+    empty,
+    parse_graph6,
+    write_graph6,
+)
+from biphole.generators import enumerate_labeled
 from biphole.sweep import (
     SweepResult,
     check_graph,
@@ -156,14 +166,27 @@ def test_jobs_below_one_raise_before_any_graph(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     sizes, tasks = [], []
     _inline_pool(monkeypatch, sizes, tasks)
-    monkeypatch.setattr(sweep_mod, "check_graph", no_graph)
-    monkeypatch.setattr(sweep_mod, "parse_graph6", no_graph)
+    # Every graph a sweep draws is enumerated or parsed, then gets its facts.
+    entries = ("enumerate_labeled", "parse_graph6", "GraphFacts")
+    real = {name: getattr(sweep_mod, name) for name in entries}
+    for name in entries:
+        monkeypatch.setattr(sweep_mod, name, no_graph)
+    line = write_graph6(complete(3))
     for jobs in (0, -5):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             run_enumerated(4, ["alpha-oracle"], jobs=jobs)
         with pytest.raises(ValueError, match="jobs must be at least 1"):
-            run_graph6_lines([write_graph6(complete(3))], ["alpha-oracle"], jobs=jobs)
+            run_graph6_lines([line], ["alpha-oracle"], jobs=jobs)
     assert sizes == [] and tasks == []
+    # The guard is not hollow: at a valid job count both sources reach the
+    # patched source, and then the patched facts.
+    for restored in ((), ("enumerate_labeled", "parse_graph6")):
+        for name in restored:
+            monkeypatch.setattr(sweep_mod, name, real[name])
+        with pytest.raises(AssertionError, match="drew a graph"):
+            run_enumerated(4, ["alpha-oracle"])
+        with pytest.raises(AssertionError, match="drew a graph"):
+            run_graph6_lines([line], ["alpha-oracle"])
 
 
 def test_chunks_follow_clamped_jobs(monkeypatch):
@@ -202,6 +225,90 @@ def test_one_and_two_jobs_sweep_a_graph6_corpus_alike(monkeypatch):
             run_graph6_lines(bad, props, jobs=jobs)
         raised.append(str(info.value))
     assert raised[0] == raised[1]
+
+
+def _graph_by_graph(items, properties):
+    """The reference order: ``check_graph`` on one (graph, replay line) at a
+    time, with the failures sorted as the runner sorts them."""
+    result = SweepResult()
+    for g, line in items:
+        check_graph(g, properties, result, line)
+    result.failures.sort(key=lambda r: (r["property"], r["graph6"], r["detail"]))
+    return result
+
+
+def _odd_size_fails(g, facts):
+    return [{"detail": "odd size"}, {"detail": f"m = {g.m}"}] if g.m % 2 else []
+
+
+def test_batches_sweep_every_small_graph_as_one_graph_at_a_time(monkeypatch):
+    # Every labeled graph with n = 1..5 through every property, and a failing
+    # one in their midst: running each property over a whole batch before
+    # the next gives the counts and failures of one graph at a time.
+    names = list(property_names())
+    monkeypatch.setitem(sweep_mod.PROPERTIES, "synthetic", _odd_size_fails)
+    props = names[:4] + ["synthetic"] + names[4:]
+    for n in range(1, 6):
+        batched = run_enumerated(n, props)
+        ref = _graph_by_graph(((g, None) for g in enumerate_labeled(n)), props)
+        assert (batched.checked, batched.skipped) == (ref.checked, ref.skipped)
+        assert batched.failures == ref.failures
+    assert batched.checked["alpha-oracle"] == 1 << 10
+    assert len(batched.failures) == 1 << 10  # two records per odd-size graph
+
+
+def test_batches_of_mixed_orders_fail_as_one_graph_at_a_time(monkeypatch):
+    # 160 graph6 lines, ten of each order 5..20 in turn: the pair budget
+    # cuts batches of mixed orders inside each chunk, and the failures come
+    # out sorted, replayable and equal to those of one graph at a time.
+    sizes = []
+    check_batch = sweep_mod._check_batch
+
+    def recorded(batch, properties, result):
+        sizes.append(len(batch))
+        check_batch(batch, properties, result)
+
+    monkeypatch.setitem(sweep_mod.PROPERTIES, "synthetic", _odd_size_fails)
+    monkeypatch.setattr(sweep_mod, "_check_batch", recorded)
+    orders = range(5, 21)
+    corpus = {n: random_corpus(10, n, 1, 2, 100 * n) for n in orders}
+    lines = [corpus[n][i] for i in range(10) for n in orders]
+    props = ["heavy-cycle", "synthetic", "heavy-path", "dirac-chain"]
+    batched = run_graph6_lines(lines, props)
+    assert len(sizes) > 8 and max(sizes) > 1  # more batches than chunks
+    ref = _graph_by_graph(((parse_graph6(line), line) for line in lines), props)
+    assert (batched.checked, batched.skipped) == (ref.checked, ref.skipped)
+    assert batched.failures == ref.failures
+    assert batched.checked["synthetic"] == 160 and batched.failures
+    for f in batched.failures:
+        replay = run_graph6_lines([f["graph6"]], ["synthetic"]).failures
+        assert f in replay
+
+
+def test_batches_keep_to_the_pair_budget():
+    # A batch holds at most the budget's vertex pairs, a graph with n <= 1
+    # counting one, unless it is one graph above the budget, which runs
+    # alone; each batch is cut only when the next graph would not fit.
+    budget = sweep_mod._PAIR_BUDGET
+
+    def cost(n):
+        return max(1, n * (n - 1) // 2)
+
+    large = [32, 32, 33, 33, 2, 46, 5, 50]
+    orders = [6] * 150 + [0, 1, 1] * 400 + large + [1] * 2000
+    items = [(empty(n), i) for i, n in enumerate(orders)]
+    batches = list(sweep_mod._batches(iter(items)))
+    assert [item for batch in batches for item in batch] == items
+    assert len(batches[0]) == budget // 15
+    for batch, after in zip(batches, batches[1:] + [None]):
+        pairs = sum(cost(g.n) for g, _ in batch)
+        assert pairs <= budget or len(batch) == 1
+        if after is not None:
+            assert pairs + cost(after[0][0].n) > budget
+    # Two graphs with n = 32 share a batch, two with n = 33 do not, and
+    # n = 46 (1,035 pairs) runs alone.
+    alone = sweep_mod._batches((empty(n), None) for n in large)
+    assert [[g.n for g, _ in b] for b in alone] == [[32, 32], [33], [33, 2], [46], [5], [50]]
 
 
 def _counting(monkeypatch, module, name, counts):

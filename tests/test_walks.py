@@ -9,7 +9,6 @@ from biphole.generators import enumerate_labeled
 from biphole.graph import mask_of
 from biphole.holes import bipartite_hole_number
 from biphole.paths import _heavy_path, verify_heavy_path
-from biphole.walks import is_cycle_sequence, is_path_sequence
 
 from conftest import walk_candidates
 
@@ -41,15 +40,20 @@ def test_cycle_validation():
 
 
 def test_sequence_predicates_take_any_iterable():
-    # The answer depends on the vertices, not on the container they come in.
+    # Whether a sequence is a path or a cycle depends on its vertices, not on
+    # the container they come in.
     c4 = cycle(4)
     for make in (list, tuple, iter):
-        assert is_path_sequence(c4, make([0, 1]))
-        assert not is_path_sequence(c4, make([0, 2]))
-        assert not is_path_sequence(c4, make([]))
-        assert is_cycle_sequence(c4, make([0, 1, 2, 3]))
-        assert not is_cycle_sequence(c4, make([0, 1, 2]))
-        assert not is_cycle_sequence(c4, make([0, 1]))
+        assert OrientedPath(c4, make([0, 1])).vertices == (0, 1)
+        assert Cycle(c4, make([0, 1, 2, 3])).vertices == (0, 1, 2, 3)
+        for kind, seq in (
+            (OrientedPath, [0, 2]),
+            (OrientedPath, []),
+            (Cycle, [0, 1, 2]),
+            (Cycle, [0, 1]),
+        ):
+            with pytest.raises(WalkError):
+                kind(c4, make(seq))
 
 
 @pytest.mark.parametrize(
