@@ -19,8 +19,8 @@ the graph6 line that replays it.  One session fixture per corpus:
 
 ``biphole sweep --enumerate 6`` reproduces the n = 6 part.  The sharpness
 witnesses and the graph6 fuzz test are checked directly.  The module takes
-about two minutes on two cores: the n = 7 sweep about 30 s, the
-time-boxed fuzz 60 s, the n <= 6 sweep about 7 s.
+about two minutes on two cores: the n = 7 sweep about 25 s, the
+time-boxed fuzz 60 s, the n <= 6 sweep about 3 s.
 """
 from __future__ import annotations
 
