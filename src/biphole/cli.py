@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -86,6 +87,11 @@ def _load_graph(args) -> Graph:
     return parse_graph6(line.strip())
 
 
+def _name_list(listed: str | None, every) -> list[str]:
+    """The names of a comma-separated option, or all of ``every`` if not given."""
+    return [s.strip() for s in listed.split(",") if s.strip()] if listed else list(every)
+
+
 def _witness_json(w) -> dict:
     return {
         "split": [len(w.s_side), len(w.t_side)],
@@ -111,39 +117,31 @@ def cmd_alpha(args) -> int:
     return EXIT_OK
 
 
-def _write_walk_dot(dot_path, g: Graph, verts, closed: bool) -> None:
-    """Write g as DOT to ``dot_path``, when given, with the walk ``verts``
-    highlighted; a closed walk also highlights its last-to-first edge."""
-    if not dot_path:
-        return
-    edges = list(zip(verts, verts[1:] + verts[:1] if closed else verts[1:]))
-    with open(dot_path, "w", encoding="utf-8") as fh:
-        fh.write(write_dot(g, verts, edges))
+def _print_walk(args, g: Graph, walk, closed: bool) -> int:
+    """Print the walk's vertices and, given ``--dot``, write g as DOT with
+    the walk's edges highlighted, a closed walk's last-to-first one too."""
+    verts = walk.vertices
+    print(" ".join(map(str, verts)))
+    if args.dot:
+        edges = list(zip(verts, verts[1:] + verts[:1] if closed else verts[1:]))
+        with open(args.dot, "w", encoding="utf-8") as fh:
+            fh.write(write_dot(g, verts, edges))
+    return EXIT_OK
 
 
 def cmd_cycle(args) -> int:
     g = _load_graph(args)
-    cyc = cycle_through_heavy(g)
-    print(" ".join(map(str, cyc.vertices)))
-    _write_walk_dot(args.dot, g, cyc.vertices, closed=True)
-    return EXIT_OK
+    return _print_walk(args, g, cycle_through_heavy(g), closed=True)
 
 
 def cmd_path(args) -> int:
     g = _load_graph(args)
-    p = heavy_path(g, args.src, args.dst)
-    print(" ".join(map(str, p.vertices)))
-    _write_walk_dot(args.dot, g, p.vertices, closed=False)
-    return EXIT_OK
+    return _print_walk(args, g, heavy_path(g, args.src, args.dst), closed=False)
 
 
 def cmd_check(args) -> int:
     g = _load_graph(args)
-    requested = (
-        [s.strip() for s in args.conditions.split(",") if s.strip()]
-        if args.conditions
-        else list(condition_names())
-    )
+    requested = _name_list(args.conditions, condition_names())
     reports = {}
     for name in requested:
         report = run_condition(name, g)
@@ -158,21 +156,14 @@ def _parse_random_spec(spec: str):
         raise ParseError("--random wants COUNT,N,P,SEED (P like 1/2)")
     count, n, seed = int(parts[0]), int(parts[1]), int(parts[3])
     frac = parts[2].split("/")
-    if len(frac) == 1:
-        num, den = int(frac[0]), 1
-    elif len(frac) == 2:
-        num, den = int(frac[0]), int(frac[1])
-    else:
+    if len(frac) > 2:
         raise ParseError("probability must look like 1/2")
+    num, den = int(frac[0]), int(frac[1]) if len(frac) == 2 else 1
     return count, n, num, den, seed
 
 
 def cmd_sweep(args) -> int:
-    properties = (
-        [s.strip() for s in args.properties.split(",") if s.strip()]
-        if args.properties
-        else list(property_names())
-    )
+    properties = _name_list(args.properties, property_names())
     sources = [
         x
         for x in (args.enumerate, args.random, args.graph6_file)
@@ -194,7 +185,7 @@ def cmd_sweep(args) -> int:
         with open(args.graph6_file, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
         result = run_graph6_lines(lines, properties, jobs=args.jobs)
-        source = f"file:{args.graph6_file}"
+        source = f"file:{os.path.basename(args.graph6_file)}"
 
     doc = {
         "schema": 1,

@@ -106,15 +106,8 @@ def common_neighbors(g: Graph, x: int, y: int) -> int:
 
 
 def _distance_two(g: Graph, x: int) -> int:
-    """N2(x) as a mask: N[N(x)], the union of the graph's closed masks N[v]
-    over v in N(x), minus N[x]."""
-    closed = g._closed
-    reach, rest = 0, g._adj[x]
-    while rest:
-        low = rest & -rest
-        reach |= closed[low.bit_length() - 1]
-        rest ^= low
-    return reach & ~closed[x]
+    """N2(x) as a mask: N[N(x)] minus N[x]."""
+    return g.closed_neighborhood_mask(g._adj[x]) & ~g._closed[x]
 
 
 def alpha2(g: Graph, x: int, y: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import count
 from typing import Iterable, Iterator
 
 from .errors import GraphError, InternalInconsistencyError, NotTwoConnectedError
@@ -122,10 +123,7 @@ class Graph:
         seen = frontier = sources
         while frontier:
             yield frontier
-            nxt = 0
-            for b in iter_bits(frontier):
-                nxt |= self._adj[b]
-            frontier = nxt & ~seen
+            frontier = self.closed_neighborhood_mask(frontier) & ~seen
             seen |= frontier
 
     def distances_from(self, v: int):
@@ -139,10 +137,7 @@ class Graph:
     def distance(self, u: int, v: int):
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise GraphError("vertex outside graph")
-        for d, layer in enumerate(self.layers(1 << u)):
-            if layer >> v & 1:
-                return d
-        return INFINITY
+        return self.distances_from(u)[v]
 
     def vertices_at_distance(self, v: int, i: int) -> frozenset[int]:
         """The exactly-distance-i BFS layer around v."""
@@ -160,43 +155,34 @@ class Graph:
         return min(self._degrees) > 0 and self._spans((1 << self.n) - 1)
 
     def cut_vertices(self) -> frozenset[int]:
-        """Articulation points via iterative DFS lowpoints."""
-        n = self.n
-        disc = [-1] * n
-        low = [0] * n
+        """Articulation points by recursive DFS lowpoints, in O(n + m): the
+        reference, apart from the ``_spans`` flood, that tests hold
+        ``is_two_connected`` to.  At most MAX_VERTICES = 512 frames deep,
+        within the interpreter's default recursion limit of 1000."""
+        disc = [-1] * self.n
+        low = [0] * self.n
+        clock = count()
         cuts: set[int] = set()
-        timer = 0
-        for root in range(n):
-            if disc[root] != -1:
-                continue
-            root_children = 0
-            stack = [(root, -1, iter(self.neighbors(root)))]
-            disc[root] = low[root] = timer
-            timer += 1
-            while stack:
-                v, parent, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if disc[w] == -1:
-                        disc[w] = low[w] = timer
-                        timer += 1
-                        if v == root:
-                            root_children += 1
-                        stack.append((w, v, iter(self.neighbors(w))))
-                        advanced = True
-                        break
-                    if w != parent:
-                        low[v] = min(low[v], disc[w])
-                if advanced:
-                    continue
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if pv != root and low[v] >= disc[pv]:
-                        cuts.add(pv)
-            if root_children >= 2:
-                cuts.add(root)
+
+        def visit(v: int, parent: int) -> int:
+            """Search the DFS subtree of v; return v's number of children."""
+            disc[v] = low[v] = next(clock)
+            children = 0
+            for w in iter_bits(self._adj[v]):
+                if disc[w] == -1:
+                    children += 1
+                    visit(w, v)
+                    low[v] = min(low[v], low[w])
+                    if low[w] >= disc[v]:
+                        cuts.add(v)
+                elif w != parent:
+                    low[v] = min(low[v], disc[w])
+            return children
+
+        for root in range(self.n):
+            # A root separates only when it has two DFS subtrees.
+            if disc[root] == -1 and visit(root, -1) < 2:
+                cuts.discard(root)
         return frozenset(cuts)
 
     def is_two_connected(self) -> bool:

@@ -36,8 +36,7 @@ fan-ham and dirac-chain, 1,060 seeded G(n, p) through alpha-oracle (60 of
 them past the naive oracle's reach) and 500 seeded 2-connected ones
 through heavy-cycle and the two min-degree properties (that module's
 docstring lists the counts).  ``biphole sweep --enumerate 6`` reproduces
-the n = 6 part.  The module takes about two minutes on two cores, most of
-it the n = 7 sweep and the graph6 fuzz.
+the n = 6 part.
 """
 from __future__ import annotations
 
@@ -146,6 +145,24 @@ def _raised(exc: BipholeError) -> str:
     return f"raised {type(exc).__name__}: {exc}"
 
 
+def _cycle_failures(facts: GraphFacts) -> list[dict]:
+    """The heavy cycle construction's error as a failure record, if any."""
+    cyc = facts.heavy_cycle
+    if isinstance(cyc, BipholeError):
+        return [{"detail": "construction " + _raised(cyc)}]
+    return []
+
+
+def _path_failures(facts: GraphFacts, pairs) -> list[dict]:
+    """One failure record per pair (u, v) whose path construction erred."""
+    failures = []
+    for u, v in pairs:
+        p = facts.heavy_path(u, v)
+        if isinstance(p, BipholeError):
+            failures.append({"detail": f"({u},{v}) " + _raised(p)})
+    return failures
+
+
 def _prop_alpha_oracle(g: Graph, facts: GraphFacts):
     naive = facts.naive_value
     cert = facts.cert
@@ -170,54 +187,31 @@ def _prop_alpha_oracle(g: Graph, facts: GraphFacts):
 
 
 def _prop_heavy_cycle(g: Graph, facts: GraphFacts):
-    if not facts.two_connected:
-        return None
-    cyc = facts.heavy_cycle
-    if isinstance(cyc, BipholeError):
-        return [{"detail": "construction " + _raised(cyc)}]
-    return []
+    return _cycle_failures(facts) if facts.two_connected else None
 
 
 def _prop_heavy_path(g: Graph, facts: GraphFacts):
     if g.n < 2 or not facts.connected:
         return None
-    threshold = facts.cert.value + 1
-    heavy = [v for v in range(g.n) if g.degree(v) >= threshold]
+    heavy = [v for v in range(g.n) if g.degree(v) > facts.cert.value]
     if len(heavy) < 2:
         return None
-    failures = []
-    for u, v in combinations(heavy, 2):
-        p = facts.heavy_path(u, v)
-        if isinstance(p, BipholeError):
-            failures.append({"detail": f"({u},{v}) " + _raised(p)})
-    return failures
+    return _path_failures(facts, combinations(heavy, 2))
 
 
 def _prop_min_degree_ham(g: Graph, facts: GraphFacts):
-    if g.n < 3:
+    if g.n < 3 or g.min_degree() < facts.cert.value:
         return None
-    if g.min_degree() < facts.cert.value:
-        return None
-    failures = []
-    cyc = facts.heavy_cycle
-    if isinstance(cyc, BipholeError):
-        failures.append({"detail": "construction " + _raised(cyc)})
+    failures = _cycle_failures(facts)
     if facts.hamiltonian is False:
         failures.append({"detail": "oracle says non-hamiltonian"})
     return failures
 
 
 def _prop_min_degree_hc(g: Graph, facts: GraphFacts):
-    if g.n < 3:
+    if g.n < 3 or g.min_degree() < facts.cert.value + 1:
         return None
-    if g.min_degree() < facts.cert.value + 1:
-        return None
-    failures = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            p = facts.heavy_path(u, v)
-            if isinstance(p, BipholeError):
-                failures.append({"detail": f"({u},{v}) " + _raised(p)})
+    failures = _path_failures(facts, combinations(range(g.n), 2))
     if facts.hamiltonian_connected is False:
         failures.append({"detail": "oracle says not hamiltonian-connected"})
     return failures
@@ -267,6 +261,14 @@ PROPERTIES = {
 
 def property_names() -> tuple[str, ...]:
     return tuple(PROPERTIES)
+
+
+def _property(name: str):
+    """The property called ``name``, read from ``PROPERTIES`` at each call."""
+    try:
+        return PROPERTIES[name]
+    except KeyError:
+        raise UnknownNameError("property", name, property_names()) from None
 
 
 @dataclass
@@ -325,10 +327,7 @@ def _check_batch(batch, properties: list[str], result: SweepResult) -> None:
     the next property, adding its checked and skipped counts once."""
     facts = [GraphFacts(g) for g, _ in batch]
     for name in properties:
-        try:
-            prop = PROPERTIES[name]
-        except KeyError:
-            raise UnknownNameError("property", name, property_names()) from None
+        prop = _property(name)
         checked = skipped = 0
         for (g, g6), f in zip(batch, facts):
             outcome = prop(g, f)
@@ -390,8 +389,7 @@ def _run(properties, jobs: int, total: int, task) -> SweepResult:
     chunk size follows the clamped job count.  ``jobs`` below 1 raises
     ``ValueError`` before any graph is drawn."""
     for name in properties:
-        if name not in PROPERTIES:
-            raise UnknownNameError("property", name, property_names())
+        _property(name)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1; got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)

@@ -236,6 +236,22 @@ def test_sweep_graph6_file(tmp_path, capsys):
     assert json.loads(out)["properties"]["heavy-path"]["checked"] == 3
 
 
+def test_sweep_graph6_file_source_is_its_base_name(tmp_path, capsys, monkeypatch):
+    # The summary names the corpus file, not the path it was read from, so
+    # one corpus prints one summary wherever it lies.
+    text = "\n".join(write_graph6(complete(n)) for n in (3, 4, 5)) + "\n"
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        (tmp_path / d / "c.g6").write_text(text, encoding="utf-8")
+    outs = [run(capsys, "sweep", "--graph6-file", str(tmp_path / d / "c.g6"))
+            for d in ("a", "b")]
+    monkeypatch.chdir(tmp_path / "a")
+    outs.append(run(capsys, "sweep", "--graph6-file", "c.g6"))
+    assert outs[0] == outs[1] == outs[2]
+    code, out, _ = outs[0]
+    assert code == 0 and json.loads(out)["source"] == "file:c.g6"
+
+
 def test_sweep_unknown_property(capsys):
     code, _, err = run(capsys, "sweep", "--enumerate", "3", "--properties", "zzz")
     assert code == 4 and "heavy-cycle" in err

@@ -282,6 +282,27 @@ def test_two_connected_edge_cases(g, expected):
     assert g.is_two_connected() == expected == _two_connected_by_cut_vertices(g)
 
 
+def test_cut_vertices_match_removal_exhaustively():
+    for n in range(7):
+        for g in enumerate_labeled(n):
+            expected = {v for v in g.vertices if _removal_disconnects(g, v)}
+            assert g.cut_vertices() == expected, g
+
+
+def _nested(depth, call):
+    """``call()`` from ``depth`` extra stack frames."""
+    return call() if depth == 0 else _nested(depth - 1, call)
+
+
+def test_cut_vertices_at_the_recursion_bound():
+    # The lowpoint DFS recurses once per vertex of its search tree, which on
+    # a path or cycle of the largest order is MAX_VERTICES = 512 deep.
+    long_path, long_cycle = path(512), cycle(512)
+    for depth in (0, 100):
+        assert _nested(depth, long_path.cut_vertices) == set(range(1, 511))
+        assert _nested(depth, long_cycle.cut_vertices) == set()
+
+
 def _removal_disconnects(g, v):
     rest = [x for x in g.vertices if x != v]
     sub, _ = g.induced_subgraph(rest)
