@@ -5,8 +5,9 @@ and ``path`` (the constructive algorithms), ``check`` (condition battery as
 JSON), and ``sweep`` (property verification over a graph stream).
 
 Exit codes: 0 success, 1 internal inconsistency, 2 connectivity
-precondition, 3 degree precondition, 4 input or parse problem.  All output
-JSON carries ``"schema": 1`` and stable field order.
+precondition, 3 degree precondition, 4 input or parse problem, usage errors
+and ``sweep --enumerate`` above ``ENUMERATION_GATE`` = 7 included.  All
+output JSON carries ``"schema": 1`` and stable field order.
 """
 from __future__ import annotations
 
@@ -118,14 +119,14 @@ def cmd_alpha(args) -> int:
 
 
 def _print_walk(args, g: Graph, walk, closed: bool) -> int:
-    """Print the walk's vertices and, given ``--dot``, write g as DOT with
-    the walk's edges highlighted, a closed walk's last-to-first one too."""
+    """Write g as DOT to ``--dot``, if given, with the walk's edges (a closed
+    walk's last one too) highlighted; print the walk only after that write."""
     verts = walk.vertices
-    print(" ".join(map(str, verts)))
     if args.dot:
         edges = list(zip(verts, verts[1:] + verts[:1] if closed else verts[1:]))
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(write_dot(g, verts, edges))
+    print(" ".join(map(str, verts)))
     return EXIT_OK
 
 
@@ -172,9 +173,7 @@ def cmd_sweep(args) -> int:
     if len(sources) != 1:
         raise ParseError("give exactly one of --enumerate, --random, --graph6-file")
     if args.enumerate is not None:
-        result = run_enumerated(
-            args.enumerate, properties, jobs=args.jobs, allow_large=args.allow_large
-        )
+        result = run_enumerated(args.enumerate, properties, jobs=args.jobs)
         source = f"enumerate:{args.enumerate}"
     elif args.random is not None:
         count, n, num, den, seed = _parse_random_spec(args.random)
@@ -246,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="verify properties over a graph stream")
     p_sweep.add_argument("--enumerate", type=int, metavar="N")
-    p_sweep.add_argument("--allow-large", action="store_true")
     p_sweep.add_argument("--random", metavar="COUNT,N,P,SEED")
     p_sweep.add_argument("--graph6-file", metavar="FILE")
     p_sweep.add_argument("--properties", metavar="LIST")
@@ -257,8 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 on --help
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (NotTwoConnectedError, DisconnectedError) as exc:

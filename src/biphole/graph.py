@@ -128,6 +128,8 @@ class Graph:
 
     def distances_from(self, v: int):
         """BFS distances from v; unreachable entries are INFINITY."""
+        if not 0 <= v < self.n:
+            raise GraphError("vertex outside graph")
         dist: list[float] = [INFINITY] * self.n
         for d, layer in enumerate(self.layers(1 << v)):
             for b in iter_bits(layer):
@@ -141,8 +143,6 @@ class Graph:
 
     def vertices_at_distance(self, v: int, i: int) -> frozenset[int]:
         """The exactly-distance-i BFS layer around v."""
-        if not 0 <= v < self.n:
-            raise GraphError("vertex outside graph")
         dist = self.distances_from(v)
         return frozenset(u for u in range(self.n) if dist[u] == i)
 

@@ -46,9 +46,9 @@ from itertools import combinations
 
 from .conditions import check_fan_type, check_liu_yuan_zhang
 from .cycles import _cycle_through_heavy, _require_two_connected, _verified_cycle
-from .errors import BipholeError, SizeGuardError, UnknownNameError
+from .errors import BipholeError, ParseError, SizeGuardError, UnknownNameError
 from .formats import parse_graph6, write_graph6
-from .generators import _check_enumeration_order, enumerate_labeled, erdos_renyi
+from .generators import _check_enumeration_order, _graphs_of_masks, erdos_renyi
 from .graph import Graph
 from .holes import (
     HoleCertificate,
@@ -345,28 +345,33 @@ def _check_batch(batch, properties: list[str], result: SweepResult) -> None:
             result.skipped[name] = result.skipped.get(name, 0) + skipped
 
 
+def _parsed(line: str):
+    """A graph6 line's graph and the line; its ``ParseError`` names the line."""
+    try:
+        return parse_graph6(line), line
+    except ParseError as exc:
+        raise ParseError(f"graph6 line {line!r}: {exc}") from None
+
+
 def _run_chunk(task) -> SweepResult:
     """Sweep one chunk of a source: ``("g6", lines, properties)``, where each
     line is its graph's replay line, or ``("enum", (n, lo, hi), properties)``,
     the edge masks lo..hi of the order-n enumeration, in ``_batches``."""
     kind, payload, properties = task
     if kind == "g6":
-        items = ((parse_graph6(line), line) for line in payload)
+        items = map(_parsed, payload)
     else:
         n, lo, hi = payload
-        # run_enumerated has already applied the caller's order gate.
-        items = ((g, None) for g in enumerate_labeled(n, allow_large=True, masks=range(lo, hi)))
+        items = ((g, None) for g in _graphs_of_masks(n, range(lo, hi)))
     result = SweepResult()
     for batch in _batches(items):
         _check_batch(batch, properties, result)
     return result
 
 
-def run_enumerated(
-    n: int, properties: list[str], jobs: int = 1, allow_large: bool = False
-) -> SweepResult:
+def run_enumerated(n: int, properties: list[str], jobs: int = 1) -> SweepResult:
     """Sweep all labeled graphs on exactly n vertices."""
-    _check_enumeration_order(n, allow_large)  # before the mask count below
+    _check_enumeration_order(n)  # before the mask count below
     return _run(
         properties,
         jobs,

@@ -74,7 +74,7 @@ def sweep_n6():
 @pytest.fixture(scope="session")
 def sweep_n7():
     """Every labeled graph with n = 7 through the two implication criteria."""
-    return run_enumerated(7, ["fan-ham", "dirac-chain"], jobs=2, allow_large=True)
+    return run_enumerated(7, ["fan-ham", "dirac-chain"], jobs=2)
 
 
 @pytest.fixture(scope="session")

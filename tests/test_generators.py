@@ -109,12 +109,10 @@ def test_enumerate_counts():
 
 
 def test_enumerate_gate():
-    with pytest.raises(ValueError):
-        next(enumerate_labeled(7))
-    gen = enumerate_labeled(7, allow_large=True)
-    assert next(gen) == empty(7)
-    with pytest.raises(ValueError):
-        next(enumerate_labeled(9, allow_large=True))
+    assert next(enumerate_labeled(7)) == empty(7)
+    for n in (8, -1):
+        with pytest.raises(ValueError, match="enumeration gated at n <= 7"):
+            enumerate_labeled(n)
 
 
 def test_enumerate_mask_order():
@@ -125,7 +123,7 @@ def test_enumerate_mask_order():
 
 def test_enumerate_mask_range():
     every = list(enumerate_labeled(4))
-    assert list(enumerate_labeled(4, masks=range(10, 20))) == every[10:20]
+    assert list(generators_mod._graphs_of_masks(4, range(10, 20))) == every[10:20]
     # Each graph is carried over from the previous mask, starting from the
     # empty graph; ranges that start above 0, step, or descend must still
     # give every mask's graph as a fresh build does.
@@ -137,4 +135,4 @@ def test_enumerate_mask_range():
         for masks in ranges:
             fresh = [Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
                      for mask in masks]
-            assert list(enumerate_labeled(n, masks=masks)) == fresh
+            assert list(generators_mod._graphs_of_masks(n, masks)) == fresh

@@ -62,6 +62,16 @@ def test_vertices_at_distance():
     assert path(3).vertices_at_distance(1, 1) == {0, 2}
 
 
+@pytest.mark.parametrize("v", [4, -1])
+def test_distance_queries_reject_vertices_outside_the_graph(v):
+    g = complete(4)
+    queries = (g.distances_from, lambda x: g.vertices_at_distance(x, 1),
+               lambda x: g.distance(x, 0), lambda x: g.distance(0, x))
+    for query in queries:
+        with pytest.raises(GraphError, match="vertex outside graph"):
+            query(v)
+
+
 def test_connectivity():
     assert cycle(5).is_connected() and cycle(5).is_two_connected()
     p3 = path(3)

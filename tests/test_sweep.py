@@ -167,7 +167,7 @@ def test_jobs_below_one_raise_before_any_graph(monkeypatch):
     sizes, tasks = [], []
     _inline_pool(monkeypatch, sizes, tasks)
     # Every graph a sweep draws is enumerated or parsed, then gets its facts.
-    entries = ("enumerate_labeled", "parse_graph6", "GraphFacts")
+    entries = ("_graphs_of_masks", "parse_graph6", "GraphFacts")
     real = {name: getattr(sweep_mod, name) for name in entries}
     for name in entries:
         monkeypatch.setattr(sweep_mod, name, no_graph)
@@ -180,7 +180,7 @@ def test_jobs_below_one_raise_before_any_graph(monkeypatch):
     assert sizes == [] and tasks == []
     # The guard is not hollow: at a valid job count both sources reach the
     # patched source, and then the patched facts.
-    for restored in ((), ("enumerate_labeled", "parse_graph6")):
+    for restored in ((), ("_graphs_of_masks", "parse_graph6")):
         for name in restored:
             monkeypatch.setattr(sweep_mod, name, real[name])
         with pytest.raises(AssertionError, match="drew a graph"):
@@ -225,6 +225,7 @@ def test_one_and_two_jobs_sweep_a_graph6_corpus_alike(monkeypatch):
             run_graph6_lines(bad, props, jobs=jobs)
         raised.append(str(info.value))
     assert raised[0] == raised[1]
+    assert raised[0].startswith("graph6 line 'D~': ")
 
 
 def _graph_by_graph(items, properties):
@@ -457,11 +458,12 @@ def test_import_does_not_load_multiprocessing():
 
 def test_order_gate_raises_before_counting_masks():
     # The mask count 2^(n choose 2) of n = 60,000 alone would take 229 MiB.
-    for allow_large, gate in ((False, 6), (True, 8)):
+    for refused in (lambda: run_enumerated(60_000, ["g6-roundtrip"]),
+                     lambda: enumerate_labeled(60_000)):
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"enumeration gated at n <= {gate}"):
-                run_enumerated(60_000, ["g6-roundtrip"], allow_large=allow_large)
+            with pytest.raises(ValueError, match="enumeration gated at n <= 7"):
+                refused()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
